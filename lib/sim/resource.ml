@@ -85,6 +85,15 @@ let release t amount =
       (Printf.sprintf "Resource.release: %s over capacity" t.name);
   drain t
 
+(* Release on both the normal and the exceptional exit, without the
+   closure [Fun.protect] would allocate per use. *)
 let use t amount f =
   acquire t amount;
-  Fun.protect ~finally:(fun () -> release t amount) f
+  match f () with
+  | v ->
+    release t amount;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release t amount;
+    Printexc.raise_with_backtrace e bt

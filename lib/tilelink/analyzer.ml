@@ -24,9 +24,10 @@
       names the producing rank and channel of the fence that was
       crossed (the [hoist_loads_unsafe] class of miscompile).
 
-   Diagnostics use the runtime's counter-key naming ([pc[r][c]],
-   [peer[d<-s][c]], [host[d<-s]]) so static reports line up with
-   runtime deadlock enrichment and chaos stall output. *)
+   All three index signal state by dense [Slot] number; only the
+   diagnostics format keys, in the runtime's counter-key naming
+   ([pc[r][c]], [peer[d<-s][c]], [host[d<-s]]), so static reports line
+   up with runtime deadlock enrichment and chaos stall output. *)
 
 type severity = Error | Warning
 
@@ -105,30 +106,43 @@ type key_info = {
   mutable k_waits : endpoint list;
 }
 
+(* Per-target state lives in slot-indexed arrays (see [Slot]); a key
+   string is formatted only when a diagnostic names it. *)
 type inventory = {
-  inv_keys : (string, key_info) Hashtbl.t;
-  mutable inv_order : string list; (* reverse first-touch order *)
+  inv_layout : Slot.layout;
+  inv_names : Slot.names;
+  inv_keys : key_info option array;
+  mutable inv_order : int list; (* slots in first-touch order *)
   mutable inv_notifies : int;
   mutable inv_waits : int;
 }
 
+let slot_of inv target =
+  Slot.of_target ~op:"Analyzer.analyze" inv.inv_layout target
+let key_of inv slot = Slot.name inv.inv_names slot
+
 let inventory_of (p : Program.t) =
+  let layout = Slot.of_program p in
   let inv =
     {
-      inv_keys = Hashtbl.create 64;
+      inv_layout = layout;
+      inv_names = Slot.names layout;
+      inv_keys = Array.make (Slot.size layout) None;
       inv_order = [];
       inv_notifies = 0;
       inv_waits = 0;
     }
   in
   let info target =
-    let key = Instr.key_of_target target in
-    match Hashtbl.find_opt inv.inv_keys key with
+    let slot = slot_of inv target in
+    match inv.inv_keys.(slot) with
     | Some ki -> ki
     | None ->
-      let ki = { k_target = target; k_notifies = []; k_waits = [] } in
-      Hashtbl.add inv.inv_keys key ki;
-      inv.inv_order <- key :: inv.inv_order;
+      let ki =
+        { k_target = target; k_notifies = []; k_waits = [] }
+      in
+      inv.inv_keys.(slot) <- Some ki;
+      inv.inv_order <- slot :: inv.inv_order;
       ki
   in
   Program.iter_tasks p ~f:(fun ~rank role task ->
@@ -160,12 +174,14 @@ let inventory_of (p : Program.t) =
           | _ -> ())
         task.Program.instrs);
   inv.inv_order <- List.rev inv.inv_order;
-  Hashtbl.iter
-    (fun _ ki ->
-      ki.k_notifies <- List.rev ki.k_notifies;
-      ki.k_waits <- List.rev ki.k_waits)
+  Array.iter
+    (Option.iter (fun ki ->
+         ki.k_notifies <- List.rev ki.k_notifies;
+         ki.k_waits <- List.rev ki.k_waits))
     inv.inv_keys;
   inv
+
+let find_info inv slot = Option.get inv.inv_keys.(slot)
 
 let supply ki = List.fold_left (fun a ep -> a + ep.ep_amount) 0 ki.k_notifies
 
@@ -193,8 +209,8 @@ let accounting_diags inv =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   List.iter
-    (fun key ->
-      let ki = Hashtbl.find inv.inv_keys key in
+    (fun slot ->
+      let ki = find_info inv slot in
       let avail = supply ki in
       let unmatched =
         List.filter (fun ep -> ep.ep_amount > avail) ki.k_waits
@@ -202,6 +218,7 @@ let accounting_diags inv =
       (match unmatched with
       | [] -> ()
       | first :: _ ->
+        let key = key_of inv slot in
         emit
           (mk_diag Error
              (Unmatched_wait { threshold = first.ep_amount; available = avail })
@@ -216,6 +233,7 @@ let accounting_diags inv =
                 | n -> Printf.sprintf " (%d waits affected)" n))));
       (match (ki.k_notifies, ki.k_waits) with
       | first :: _, [] ->
+        let key = key_of inv slot in
         emit
           (mk_diag Warning
              (Unconsumed_notify { amount = avail })
@@ -228,7 +246,8 @@ let accounting_diags inv =
       match ki.k_waits with
       | first_wait :: _ when ki.k_notifies <> [] ->
         let t_max = max_threshold ki in
-        if avail > t_max then
+        if avail > t_max then begin
+          let key = key_of inv slot in
           emit
             (mk_diag Error
                (Epoch_reuse
@@ -243,6 +262,7 @@ let accounting_diags inv =
                    waiter thresholds is %d: the key is re-signalled past \
                    every registered waiter's epoch"
                   key avail (List.length ki.k_waits) t_max))
+        end
       | _ -> ())
     inv.inv_order;
   List.rev !diags
@@ -251,13 +271,14 @@ let accounting_diags inv =
 (* 2. Reachability: eager fixpoint + wait-for cycles                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One task as an independent stream; [s_rest] is what it has yet to
+   execute (its head is the wait it is blocked on, once stuck). *)
 type stream = {
   s_id : int;
   s_rank : int;
   s_role : string;
   s_task : string;
-  s_instrs : Instr.t array;
-  mutable s_pc : int;
+  mutable s_rest : Instr.t list;
 }
 
 let streams_of (p : Program.t) =
@@ -270,8 +291,7 @@ let streams_of (p : Program.t) =
           s_rank = rank;
           s_role = role.Program.role_name;
           s_task = task.Program.label;
-          s_instrs = Array.of_list task.Program.instrs;
-          s_pc = 0;
+          s_rest = task.Program.instrs;
         }
         :: !streams;
       incr id);
@@ -280,44 +300,35 @@ let streams_of (p : Program.t) =
 (* Run every stream eagerly until all are finished or blocked on a
    wait.  Monotone counters make this schedule maximally permissive,
    so the blocked set is exactly the statically-doomed set. *)
-let run_fixpoint streams =
-  let avail : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let blocked : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
+let run_fixpoint inv streams =
+  let size = Slot.size inv.inv_layout in
+  let avail = Array.make size 0 in
+  let blocked = Array.make size [] in
   let runnable = Queue.create () in
   Array.iter (fun s -> Queue.add s.s_id runnable) streams;
-  let value key = Option.value ~default:0 (Hashtbl.find_opt avail key) in
-  let wake key =
-    match Hashtbl.find_opt blocked key with
-    | None -> ()
-    | Some ids ->
-      List.iter (fun id -> Queue.add id runnable) !ids;
-      ids := []
-  in
-  let block key id =
-    match Hashtbl.find_opt blocked key with
-    | Some ids -> ids := id :: !ids
-    | None -> Hashtbl.add blocked key (ref [ id ])
+  let rec step s =
+    match s.s_rest with
+    | Instr.Wait { target; threshold; _ } :: rest ->
+      let slot = slot_of inv target in
+      if avail.(slot) >= threshold then begin
+        s.s_rest <- rest;
+        step s
+      end
+      else blocked.(slot) <- s.s_id :: blocked.(slot)
+    | Instr.Notify { target; amount; _ } :: rest ->
+      let slot = slot_of inv target in
+      avail.(slot) <- avail.(slot) + amount;
+      s.s_rest <- rest;
+      List.iter (fun id -> Queue.add id runnable) blocked.(slot);
+      blocked.(slot) <- [];
+      step s
+    | _ :: rest ->
+      s.s_rest <- rest;
+      step s
+    | [] -> ()
   in
   while not (Queue.is_empty runnable) do
-    let s = streams.(Queue.pop runnable) in
-    let len = Array.length s.s_instrs in
-    let running = ref true in
-    while !running && s.s_pc < len do
-      match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { target; threshold; _ } ->
-        let key = Instr.key_of_target target in
-        if value key >= threshold then s.s_pc <- s.s_pc + 1
-        else begin
-          block key s.s_id;
-          running := false
-        end
-      | Instr.Notify { target; amount; _ } ->
-        let key = Instr.key_of_target target in
-        Hashtbl.replace avail key (value key + amount);
-        s.s_pc <- s.s_pc + 1;
-        wake key
-      | _ -> s.s_pc <- s.s_pc + 1
-    done
+    step streams.(Queue.pop runnable)
   done
 
 (* Wait-for cycles among statically-matched blocked streams: streams
@@ -327,20 +338,19 @@ let run_fixpoint streams =
    cause. *)
 let deadlock_diags inv streams =
   let stuck =
-    Array.to_list streams
-    |> List.filter (fun s -> s.s_pc < Array.length s.s_instrs)
+    Array.to_list streams |> List.filter (fun s -> s.s_rest <> [])
   in
   if stuck = [] then []
   else begin
     let wait_of s =
-      match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { target; threshold; _ } ->
-        (Instr.key_of_target target, threshold, target)
+      match s.s_rest with
+      | Instr.Wait { target; threshold; _ } :: _ ->
+        (slot_of inv target, threshold, target)
       | _ -> assert false (* fixpoint only blocks on waits *)
     in
     let statically_matched s =
-      let key, threshold, _ = wait_of s in
-      match Hashtbl.find_opt inv.inv_keys key with
+      let slot, threshold, _ = wait_of s in
+      match inv.inv_keys.(slot) with
       | None -> false
       | Some ki -> threshold <= supply ki
     in
@@ -348,30 +358,26 @@ let deadlock_diags inv streams =
     let node_ids = List.map (fun s -> s.s_id) nodes in
     let by_id = Hashtbl.create 16 in
     List.iter (fun s -> Hashtbl.replace by_id s.s_id s) nodes;
-    (* key -> stuck matched streams still holding a notify to it *)
-    let producers : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    (* slot -> stuck matched streams still holding a notify to it *)
+    let producers = Array.make (Slot.size inv.inv_layout) [] in
     List.iter
       (fun s ->
         let seen = Hashtbl.create 8 in
-        for i = s.s_pc to Array.length s.s_instrs - 1 do
-          match s.s_instrs.(i) with
-          | Instr.Notify { target; _ } ->
-            let key = Instr.key_of_target target in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
-              match Hashtbl.find_opt producers key with
-              | Some ids -> ids := s.s_id :: !ids
-              | None -> Hashtbl.add producers key (ref [ s.s_id ])
-            end
-          | _ -> ()
-        done)
+        List.iter
+          (function
+            | Instr.Notify { target; _ } ->
+              let slot = slot_of inv target in
+              if not (Hashtbl.mem seen slot) then begin
+                Hashtbl.add seen slot ();
+                producers.(slot) <- s.s_id :: producers.(slot)
+              end
+            | _ -> ())
+          s.s_rest)
       nodes;
     let succs id =
       let s = Hashtbl.find by_id id in
-      let key, _, _ = wait_of s in
-      match Hashtbl.find_opt producers key with
-      | None -> []
-      | Some ids -> List.rev !ids
+      let slot, _, _ = wait_of s in
+      List.rev producers.(slot)
     in
     (* DFS with colors; every back edge closes one cycle. *)
     let color = Hashtbl.create 16 in
@@ -413,20 +419,20 @@ let deadlock_diags inv streams =
       let edges =
         List.mapi
           (fun i s ->
-            let key, threshold, _ = wait_of s in
+            let slot, threshold, _ = wait_of s in
             let next = List.nth streams_in ((i + 1) mod n) in
             {
               e_rank = s.s_rank;
               e_role = s.s_role;
               e_task = s.s_task;
-              e_key = key;
+              e_key = key_of inv slot;
               e_threshold = threshold;
               e_producer_rank = next.s_rank;
             })
           streams_in
       in
       let first = List.hd streams_in in
-      let key, threshold, target = wait_of first in
+      let slot, threshold, target = wait_of first in
       let rendered =
         String.concat " -> "
           (List.map
@@ -438,7 +444,7 @@ let deadlock_diags inv streams =
       {
         severity = Error;
         kind = Deadlock_cycle { cycle = edges };
-        key;
+        key = key_of inv slot;
         rank = first.s_rank;
         channel = Instr.channel_of_target target;
         producer = Instr.producer_of_target target;
@@ -471,7 +477,7 @@ let deadlock_diags inv streams =
 (* 3. Ordering: per-task fence violations, resolved to keys            *)
 (* ------------------------------------------------------------------ *)
 
-let race_diags (p : Program.t) =
+let race_diags inv (p : Program.t) =
   let diags = ref [] in
   Program.iter_tasks p ~f:(fun ~rank role task ->
       List.iter
@@ -481,7 +487,7 @@ let race_diags (p : Program.t) =
             | Instr.Wait { target; _ } | Instr.Notify { target; _ } -> target
             | _ -> assert false (* fences are waits/notifies by construction *)
           in
-          let key = Instr.key_of_target target in
+          let key = key_of inv (slot_of inv target) in
           let verb =
             match fv.Consistency.fv_kind with
             | Consistency.Read_before_acquire ->
@@ -527,15 +533,15 @@ let race_diags (p : Program.t) =
 let analyze (p : Program.t) =
   let inv = inventory_of p in
   let streams = streams_of p in
-  run_fixpoint streams;
+  run_fixpoint inv streams;
   let diags =
-    accounting_diags inv @ deadlock_diags inv streams @ race_diags p
+    accounting_diags inv @ deadlock_diags inv streams @ race_diags inv p
   in
   {
     program = Program.name p;
     world_size = Program.world_size p;
     diags;
-    keys = Hashtbl.length inv.inv_keys;
+    keys = List.length inv.inv_order;
     notifies = inv.inv_notifies;
     waits = inv.inv_waits;
   }
@@ -674,8 +680,8 @@ let check_against_mapping (p : Program.t) ~mapping =
   let inv = inventory_of p in
   let diags = ref [] in
   List.iter
-    (fun key ->
-      let ki = Hashtbl.find inv.inv_keys key in
+    (fun slot ->
+      let ki = find_info inv slot in
       match ki.k_target with
       | Instr.Pc { rank; channel } ->
         let expected =
@@ -688,6 +694,7 @@ let check_against_mapping (p : Program.t) ~mapping =
         (match over_waits with
         | [] -> ()
         | first :: _ ->
+          let key = key_of inv slot in
           diags :=
             mk_diag Error
               (Mapping_mismatch { expected; actual = first.ep_amount })
@@ -701,6 +708,7 @@ let check_against_mapping (p : Program.t) ~mapping =
         let total = supply ki in
         if total > expected then
           let first = List.hd ki.k_notifies in
+          let key = key_of inv slot in
           diags :=
             mk_diag Error
               (Mapping_mismatch { expected; actual = total })
@@ -719,8 +727,8 @@ let check_against_mapping (p : Program.t) ~mapping =
 (* ------------------------------------------------------------------ *)
 
 (* [rank]'s Notify/Wait instructions in [Fault]'s task order, paired
-   with their resolved key. *)
-let rank_signals (p : Program.t) ~rank =
+   with their resolved slot. *)
+let rank_signals inv (p : Program.t) ~rank =
   let notifies = ref [] and waits = ref [] in
   List.iter
     (fun role ->
@@ -730,9 +738,9 @@ let rank_signals (p : Program.t) ~rank =
             (fun instr ->
               match instr with
               | Instr.Notify { target; amount; _ } ->
-                notifies := (Instr.key_of_target target, amount) :: !notifies
+                notifies := (slot_of inv target, amount) :: !notifies
               | Instr.Wait { target; threshold; _ } ->
-                waits := (Instr.key_of_target target, threshold) :: !waits
+                waits := (slot_of inv target, threshold) :: !waits
               | _ -> ())
             task.Program.instrs)
         role.Program.tasks)
@@ -742,8 +750,8 @@ let rank_signals (p : Program.t) ~rank =
 let mutation_corpus ~seed (p : Program.t) =
   let world = Program.world_size p in
   let inv = inventory_of p in
-  let key_stats key =
-    match Hashtbl.find_opt inv.inv_keys key with
+  let key_stats slot =
+    match inv.inv_keys.(slot) with
     | None -> (0, 0, 0)
     | Some ki -> (supply ki, max_threshold ki, List.length ki.k_waits)
   in
@@ -763,21 +771,22 @@ let mutation_corpus ~seed (p : Program.t) =
     | candidates ->
       Some (List.nth candidates ((seed + salt) mod List.length candidates))
   in
-  let notify_signals rank = fst (rank_signals p ~rank) in
-  let wait_signals rank = snd (rank_signals p ~rank) in
+  let signals = Array.init world (fun rank -> rank_signals inv p ~rank) in
+  let notify_signals rank = fst signals.(rank) in
+  let wait_signals rank = snd signals.(rank) in
   (* Losing this notify leaves some registered waiter short. *)
-  let drop_visible (key, amount) =
-    let avail, t_max, waiters = key_stats key in
+  let drop_visible (slot, amount) =
+    let avail, t_max, waiters = key_stats slot in
     waiters > 0 && t_max > avail - amount
   in
   (* Demanding one more than this wait does must exceed the supply. *)
-  let bump_wait_visible (key, threshold) =
-    let avail, _, _ = key_stats key in
+  let bump_wait_visible (slot, threshold) =
+    let avail, _, _ = key_stats slot in
     threshold + 1 > avail
   in
   (* One extra signal must pass every registered threshold. *)
-  let bump_notify_visible (key, _) =
-    let avail, t_max, waiters = key_stats key in
+  let bump_notify_visible (slot, _) =
+    let avail, t_max, waiters = key_stats slot in
     waiters > 0 && avail + 1 > t_max
   in
   let corpus = ref [] in

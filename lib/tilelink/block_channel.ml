@@ -96,9 +96,6 @@ let lower ?telemetry t stmts =
         }
     | instr -> instr
   in
-  List.map
-    (fun instr ->
-      let shifted = shift instr in
-      if Tilelink_obs.Telemetry.active telemetry then note_instr shifted;
-      shifted)
-    (Lower.lower (lower_config t) stmts)
+  let lowered = Lower.lower (lower_config t) stmts in
+  if Tilelink_obs.Telemetry.active telemetry then List.iter note_instr lowered;
+  if t.channel_base = 0 then lowered else List.map shift lowered

@@ -1,7 +1,8 @@
 (* Barrier channels: the signal fabric the primitives compile to.
 
    Every rank owns [channels_per_rank] producer/consumer channels plus
-   [peer_channels] peer channels per remote rank, plus one host channel.
+   [peer_channels] peer channels per remote rank, plus one host channel;
+   all of them live in one flat array indexed by [Slot].
    A channel is a monotonic counter in NVSHMEM-style symmetric memory;
    notifies are release-stores, waits are acquire-loads (the simulator
    realizes them as waitable counters). *)
@@ -20,15 +21,39 @@ type pending_wait = {
   pw_since : float;
 }
 
+(* Per-kind telemetry names, built once: the signal path never
+   concatenates a metric or span name per event. *)
+type kind = {
+  kind : string;
+  notifies_metric : string;
+  waits_metric : string;
+  wait_us_metric : string;
+  notify_span : string;
+  wait_span : string;
+}
+
+let kind name =
+  {
+    kind = name;
+    notifies_metric = "notifies." ^ name;
+    waits_metric = "waits." ^ name;
+    wait_us_metric = "wait_us." ^ name;
+    notify_span = "notify." ^ name;
+    wait_span = "wait." ^ name;
+  }
+
+let pc_kind = kind "pc"
+let peer_kind = kind "peer"
+let host_kind = kind "host"
+
 type t = {
-  world_size : int;
-  channels_per_rank : int;
-  (* producer/consumer channels: [rank].(channel) *)
-  pc : Tilelink_sim.Counter.t array array;
-  (* peer channels: [dst_rank].(src_rank).(channel) *)
-  peer : Tilelink_sim.Counter.t array array array;
-  (* host channels: [dst_rank].(src_rank) *)
-  host : Tilelink_sim.Counter.t array array;
+  layout : Slot.layout;
+  (* One counter per slot of the layout (see [Slot]): pc, then peer,
+     then host channels. *)
+  counters : Tilelink_sim.Counter.t array;
+  (* Counter keys, formatted on first use for telemetry, the fault
+     interceptor and pending-wait diagnostics. *)
+  names : Slot.names;
   (* Telemetry sink plus the simulation clock that timestamps its
      events.  [None] (the default) keeps the original zero-overhead
      signal path. *)
@@ -40,19 +65,21 @@ type t = {
   (* How to defer a delayed delivery (the runtime wires this to
      [Engine.schedule]); without it delays degrade to prompt delivery. *)
   scheduler : (float -> (unit -> unit) -> unit) option;
-  (* Counter lookup by name, so the watchdog can re-issue a signal
-     knowing only its key. *)
-  by_key : (string, Tilelink_sim.Counter.t) Hashtbl.t;
-  (* Cumulative value each counter *should* have received, including
+  (* Remap aliases: extra key names of existing slots, so the watchdog
+     can re-issue a signal knowing only a rerouted key. *)
+  aliases : (string, int) Hashtbl.t;
+  (* Cumulative value each slot *should* have received, including
      dropped notifies: threshold <= intended means the signal was sent
      and lost in flight (retryable); threshold > intended means the
      producer never issued it (structural). *)
-  intended : (string, int) Hashtbl.t;
-  (* In-flight waits keyed by a unique id, so a watchdog can see who is
-     blocked on what and since when. *)
+  intended : int array;
+  (* Waits currently blocked, keyed by a unique id, so a watchdog can
+     see who is blocked on what and since when. *)
   pending : (int, pending_wait) Hashtbl.t;
   mutable next_wait_id : int;
 }
+
+let name t slot = Slot.name t.names slot
 
 (* Delivery is an idempotent set-to-epoch, not an add: [epoch] is the
    intended cumulative value captured when the notify was issued.  A
@@ -61,14 +88,15 @@ type t = {
    overshoot that would prematurely release future waits on the same
    key.  This mirrors release-stores of a monotonically increasing
    flag value (the hardware notify these channels model). *)
-let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
+let deliver t ?pred ~kind ~rank slot ~epoch ~amount =
+  let counter = t.counters.(slot) in
   Tilelink_sim.Counter.set_at_least counter epoch;
   if Tilelink_obs.Telemetry.active t.telemetry then begin
     let tele = Option.get t.telemetry in
     Tilelink_obs.Metrics.inc
       (Tilelink_obs.Telemetry.metrics tele)
-      ("notifies." ^ kind);
-    let key = Tilelink_sim.Counter.name counter in
+      kind.notifies_metric;
+    let key = name t slot in
     let value = Tilelink_sim.Counter.value counter in
     let now = t.clock () in
     Tilelink_obs.Journal.record
@@ -81,7 +109,7 @@ let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
        cursor captured at issue time. *)
     Tilelink_obs.Span.record_notify
       (Tilelink_obs.Telemetry.spans tele)
-      ?pred ~label:("notify." ^ kind) ~rank ~key ~value ~t:now
+      ?pred ~label:kind.notify_span ~rank ~key ~value ~t:now
   end
 
 let fault_mark t ~fault_kind ~key ~rank =
@@ -96,17 +124,13 @@ let fault_mark t ~fault_kind ~key ~rank =
       (Tilelink_obs.Journal.Fault_injected { kind = fault_kind; key; rank })
   end
 
-let intended_value t ~key =
-  Option.value ~default:0 (Hashtbl.find_opt t.intended key)
-
 (* Notify with fault interception.  Intended-value bookkeeping counts
    the notify once regardless of the decision: a dropped signal was
    still *sent* (so a retry may legitimately re-issue it), a duplicate
    only entitles the consumer to one increment. *)
-let notify_instr ?worker t ~kind ~rank counter ~amount =
-  let key = Tilelink_sim.Counter.name counter in
-  let epoch = intended_value t ~key + amount in
-  Hashtbl.replace t.intended key epoch;
+let notify_instr ?worker t ~kind ~rank slot ~amount =
+  let epoch = t.intended.(slot) + amount in
+  t.intended.(slot) <- epoch;
   (* Causal predecessor of the (eventual) delivery: the issuing
      worker's last span, captured *now* so a delayed delivery still
      points at what the producer had done when it issued the signal. *)
@@ -121,101 +145,95 @@ let notify_instr ?worker t ~kind ~rank counter ~amount =
     else None
   in
   match t.interceptor with
-  | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
+  | None -> deliver t ?pred ~kind ~rank slot ~epoch ~amount
   | Some decide -> (
-    match decide ~kind ~key ~rank ~amount with
-    | Deliver -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
+    let key = name t slot in
+    match decide ~kind:kind.kind ~key ~rank ~amount with
+    | Deliver -> deliver t ?pred ~kind ~rank slot ~epoch ~amount
     | Drop -> fault_mark t ~fault_kind:"drop" ~key ~rank
     | Duplicate ->
       fault_mark t ~fault_kind:"duplicate" ~key ~rank;
-      deliver t ?pred ~kind ~rank counter ~epoch ~amount;
-      deliver t ?pred ~kind ~rank counter ~epoch ~amount
+      deliver t ?pred ~kind ~rank slot ~epoch ~amount;
+      deliver t ?pred ~kind ~rank slot ~epoch ~amount
     | Delay d -> (
       fault_mark t ~fault_kind:"delay" ~key ~rank;
       match t.scheduler with
       | Some sched ->
-        sched d (fun () -> deliver t ?pred ~kind ~rank counter ~epoch ~amount)
-      | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount))
+        sched d (fun () -> deliver t ?pred ~kind ~rank slot ~epoch ~amount)
+      | None -> deliver t ?pred ~kind ~rank slot ~epoch ~amount))
+
+(* Block until the slot's counter reaches [threshold].  Only a wait
+   that actually parks enters the pending-wait registry — the edge list
+   watchdogs and deadlock enrichment read — and the registry is kept
+   whether or not telemetry is on.  The cancellation tag is the
+   *executing* rank (the process that blocks here), which for pc waits
+   differs from [rank] (the channel owner): killing a rank must wake
+   the workers it hosts, not the waiters watching its channels. *)
+let await t ?waiter ~rank slot ~threshold =
+  let counter = t.counters.(slot) in
+  if Tilelink_sim.Counter.value counter < threshold then begin
+    let id = t.next_wait_id in
+    t.next_wait_id <- id + 1;
+    Hashtbl.replace t.pending id
+      { pw_key = name t slot; pw_rank = rank; pw_threshold = threshold;
+        pw_since = t.clock () };
+    let tag = Option.value ~default:Tilelink_sim.Counter.no_tag waiter in
+    Tilelink_sim.Counter.await_ge ~tag counter threshold;
+    Hashtbl.remove t.pending id
+  end
 
 (* Instrumented wait: journal begin/end (even for waits that are
    satisfied immediately — a zero-latency wait is still a pairing
-   point) and feed the per-primitive wait-latency histogram.  The
-   pending-wait registry is maintained unconditionally: it is what
-   watchdogs and deadlock enrichment read, and must not depend on
-   telemetry being on. *)
-let wait_instr ?waiter ?worker t ~kind ~rank counter ~threshold =
-  let key = Tilelink_sim.Counter.name counter in
-  let id = t.next_wait_id in
-  t.next_wait_id <- id + 1;
-  (* The cancellation tag is the *executing* rank (the process that
-     blocks here), which for pc waits differs from [rank] (the channel
-     owner): killing a rank must wake the workers it hosts, not the
-     waiters watching its channels. *)
-  let tag = Option.value ~default:Tilelink_sim.Counter.no_tag waiter in
-  Hashtbl.replace t.pending id
-    { pw_key = key; pw_rank = rank; pw_threshold = threshold;
-      pw_since = t.clock () };
-  (if Tilelink_obs.Telemetry.active t.telemetry then begin
-     let tele = Option.get t.telemetry in
-     let journal = Tilelink_obs.Telemetry.journal tele in
-     let t0 = t.clock () in
-     Tilelink_obs.Journal.record journal ~t:t0
-       (Tilelink_obs.Journal.Wait_begin { key; rank; threshold });
-     Tilelink_sim.Counter.await_ge ~tag counter threshold;
-     let t1 = t.clock () in
-     Tilelink_obs.Journal.record journal ~t:t1
-       (Tilelink_obs.Journal.Wait_end { key; rank; threshold; started = t0 });
-     let metrics = Tilelink_obs.Telemetry.metrics tele in
-     Tilelink_obs.Metrics.inc metrics ("waits." ^ kind);
-     Tilelink_obs.Metrics.observe metrics ("wait_us." ^ kind) (t1 -. t0);
-     (* Only a wait that actually blocked becomes a stall span; an
-        immediately satisfied wait has no causal weight. *)
-     if t1 > t0 then
-       Tilelink_obs.Span.record_wait
-         (Tilelink_obs.Telemetry.spans tele)
-         ~label:("wait." ^ kind)
-         ~rank:(Option.value ~default:rank waiter)
-         ~worker:(Option.value ~default:(-1) worker)
-         ~key ~threshold ~t0 ~t1
-   end
-   else Tilelink_sim.Counter.await_ge ~tag counter threshold);
-  Hashtbl.remove t.pending id
+   point) and feed the per-primitive wait-latency histogram. *)
+let wait_instr ?waiter ?worker t ~kind ~rank slot ~threshold =
+  if Tilelink_obs.Telemetry.active t.telemetry then begin
+    let tele = Option.get t.telemetry in
+    let journal = Tilelink_obs.Telemetry.journal tele in
+    let key = name t slot in
+    let t0 = t.clock () in
+    Tilelink_obs.Journal.record journal ~t:t0
+      (Tilelink_obs.Journal.Wait_begin { key; rank; threshold });
+    await t ?waiter ~rank slot ~threshold;
+    let t1 = t.clock () in
+    Tilelink_obs.Journal.record journal ~t:t1
+      (Tilelink_obs.Journal.Wait_end { key; rank; threshold; started = t0 });
+    let metrics = Tilelink_obs.Telemetry.metrics tele in
+    Tilelink_obs.Metrics.inc metrics kind.waits_metric;
+    Tilelink_obs.Metrics.observe metrics kind.wait_us_metric (t1 -. t0);
+    (* Only a wait that actually blocked becomes a stall span; an
+       immediately satisfied wait has no causal weight. *)
+    if t1 > t0 then
+      Tilelink_obs.Span.record_wait
+        (Tilelink_obs.Telemetry.spans tele)
+        ~label:kind.wait_span
+        ~rank:(Option.value ~default:rank waiter)
+        ~worker:(Option.value ~default:(-1) worker)
+        ~key ~threshold ~t0 ~t1
+  end
+  else await t ?waiter ~rank slot ~threshold
 
 let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     ?(clock = fun () -> 0.0) ?interceptor ?scheduler () =
   if world_size <= 0 then invalid_arg "Channel.create: world_size";
   if channels_per_rank <= 0 then
     invalid_arg "Channel.create: channels_per_rank";
-  let by_key = Hashtbl.create 64 in
-  let mk name =
-    let c = Tilelink_sim.Counter.create ~name () in
-    Hashtbl.replace by_key name c;
-    c
+  if peer_channels <= 0 then invalid_arg "Channel.create: peer_channels";
+  let layout =
+    Slot.layout ~world_size ~pc_channels:channels_per_rank ~peer_channels
   in
+  let size = Slot.size layout in
   {
-    world_size;
-    channels_per_rank;
+    layout;
+    counters = Array.init size (fun _ -> Tilelink_sim.Counter.create ());
+    names = Slot.names layout;
     telemetry;
     clock;
     interceptor;
     scheduler;
-    by_key;
-    intended = Hashtbl.create 64;
+    aliases = Hashtbl.create 8;
+    intended = Array.make size 0;
     pending = Hashtbl.create 16;
     next_wait_id = 0;
-    pc =
-      Array.init world_size (fun r ->
-          Array.init channels_per_rank (fun c ->
-              mk (Printf.sprintf "pc[%d][%d]" r c)));
-    peer =
-      Array.init world_size (fun dst ->
-          Array.init world_size (fun src ->
-              Array.init peer_channels (fun c ->
-                  mk (Printf.sprintf "peer[%d<-%d][%d]" dst src c))));
-    host =
-      Array.init world_size (fun dst ->
-          Array.init world_size (fun src ->
-              mk (Printf.sprintf "host[%d<-%d]" dst src)));
   }
 
 (* Deterministic ordering: oldest wait first, ties broken
@@ -228,38 +246,42 @@ let pending_waits t =
                   (b.pw_key, b.pw_rank, b.pw_threshold)
          | c -> c)
 
+(* A key names a slot either through a registered remap alias or as
+   the slot's own canonical key. *)
+let slot_of_key t key =
+  match Hashtbl.find_opt t.aliases key with
+  | Some slot -> Some slot
+  | None -> Slot.of_key t.layout key
+
 let key_value t ~key =
-  Option.map Tilelink_sim.Counter.value (Hashtbl.find_opt t.by_key key)
+  Option.map
+    (fun slot -> Tilelink_sim.Counter.value t.counters.(slot))
+    (slot_of_key t key)
+
+let intended_value t ~key =
+  match slot_of_key t key with Some slot -> t.intended.(slot) | None -> 0
 
 (* The watchdog's re-issue path: idempotent (set-at-least, not add) and
    deliberately bypasses the interceptor — a recovery action must not
    itself be faulted away silently; the chaos schedule models lossy
    retries separately. *)
 let force_signal t ~key ~target =
-  match Hashtbl.find_opt t.by_key key with
+  match slot_of_key t key with
   | None -> invalid_arg (Printf.sprintf "Channel.force_signal: unknown key %s" key)
-  | Some c -> Tilelink_sim.Counter.set_at_least c target
+  | Some slot -> Tilelink_sim.Counter.set_at_least t.counters.(slot) target
 
 (* Elastic remap support: register [alias] as another name of the
    counter behind [key].  Rerouted keys of a remapped protocol resolve
    (for force_signal / key_value / the watchdog) to the original
    counter the already-blocked consumers are waiting on. *)
 let register_remap t ~key ~alias =
-  match Hashtbl.find_opt t.by_key key with
+  match slot_of_key t key with
   | None ->
     invalid_arg (Printf.sprintf "Channel.register_remap: unknown key %s" key)
-  | Some c -> Hashtbl.replace t.by_key alias c
+  | Some slot -> Hashtbl.replace t.aliases alias slot
 
-let world_size t = t.world_size
-let channels_per_rank t = t.channels_per_rank
-
-let check_rank t r label =
-  if r < 0 || r >= t.world_size then
-    invalid_arg (Printf.sprintf "Channel.%s: rank %d out of range" label r)
-
-let check_channel t c label =
-  if c < 0 || c >= t.channels_per_rank then
-    invalid_arg (Printf.sprintf "Channel.%s: channel %d out of range" label c)
+let world_size t = t.layout.Slot.world_size
+let channels_per_rank t = t.layout.Slot.pc_channels
 
 (* Force-release every wait a crashed rank's processes are blocked in:
    the counters keep their values (nothing is delivered), the woken
@@ -267,64 +289,58 @@ let check_channel t c label =
    this a dead rank's parked workers would keep the engine's live count
    up forever and a polling watchdog would spin for eternity. *)
 let cancel_rank_waits t ~rank =
-  check_rank t rank "cancel_rank_waits";
-  (* Iterate the structured arrays, not [by_key]: remap aliases point
-     at counters already visited and must not be cancelled twice. *)
-  let n = ref 0 in
-  let cancel c = n := !n + Tilelink_sim.Counter.cancel_tag c ~tag:rank in
-  Array.iter (Array.iter cancel) t.pc;
-  Array.iter (Array.iter (Array.iter cancel)) t.peer;
-  Array.iter (Array.iter cancel) t.host;
-  !n
+  if rank < 0 || rank >= world_size t then
+    invalid_arg
+      (Printf.sprintf "Channel.cancel_rank_waits: rank %d out of range" rank);
+  Array.fold_left
+    (fun n c -> n + Tilelink_sim.Counter.cancel_tag c ~tag:rank)
+    0 t.counters
 
-(* Producer/consumer channel on [rank]. *)
+(* Every accessor resolves its target through [Slot], which range-checks
+   each rank and channel and names the operation in the error.
+
+   Producer/consumer channel on [rank]. *)
 let pc_notify ?worker t ~rank ~channel ~amount =
-  check_rank t rank "pc_notify";
-  check_channel t channel "pc_notify";
-  notify_instr ?worker t ~kind:"pc" ~rank t.pc.(rank).(channel) ~amount
+  notify_instr ?worker t ~kind:pc_kind ~rank
+    (Slot.pc ~op:"Channel.pc_notify" t.layout ~rank ~channel)
+    ~amount
 
 let pc_wait ?waiter ?worker t ~rank ~channel ~threshold =
-  check_rank t rank "pc_wait";
-  check_channel t channel "pc_wait";
-  wait_instr ?waiter ?worker t ~kind:"pc" ~rank t.pc.(rank).(channel) ~threshold
+  wait_instr ?waiter ?worker t ~kind:pc_kind ~rank
+    (Slot.pc ~op:"Channel.pc_wait" t.layout ~rank ~channel)
+    ~threshold
 
 let pc_value t ~rank ~channel =
-  check_rank t rank "pc_value";
-  check_channel t channel "pc_value";
-  Tilelink_sim.Counter.value t.pc.(rank).(channel)
+  Tilelink_sim.Counter.value
+    t.counters.(Slot.pc ~op:"Channel.pc_value" t.layout ~rank ~channel)
 
 (* Peer channel: [src] signals [dst]. *)
 let peer_notify ?worker t ~src ~dst ?(channel = 0) ~amount () =
-  check_rank t src "peer_notify";
-  check_rank t dst "peer_notify";
-  notify_instr ?worker t ~kind:"peer" ~rank:src t.peer.(dst).(src).(channel)
+  notify_instr ?worker t ~kind:peer_kind ~rank:src
+    (Slot.peer ~op:"Channel.peer_notify" t.layout ~src ~dst ~channel)
     ~amount
 
 let peer_wait ?waiter ?worker t ~src ~dst ?(channel = 0) ~threshold () =
-  check_rank t src "peer_wait";
-  check_rank t dst "peer_wait";
-  wait_instr ?waiter ?worker t ~kind:"peer" ~rank:dst
-    t.peer.(dst).(src).(channel) ~threshold
+  wait_instr ?waiter ?worker t ~kind:peer_kind ~rank:dst
+    (Slot.peer ~op:"Channel.peer_wait" t.layout ~src ~dst ~channel)
+    ~threshold
 
 let peer_value t ~src ~dst ?(channel = 0) () =
-  Tilelink_sim.Counter.value t.peer.(dst).(src).(channel)
+  Tilelink_sim.Counter.value
+    t.counters.(Slot.peer ~op:"Channel.peer_value" t.layout ~src ~dst ~channel)
 
 (* Host channel: copy-engine completion signalled to [dst]'s kernels. *)
 let host_notify ?worker t ~src ~dst ~amount =
-  check_rank t src "host_notify";
-  check_rank t dst "host_notify";
-  notify_instr ?worker t ~kind:"host" ~rank:src t.host.(dst).(src) ~amount
+  notify_instr ?worker t ~kind:host_kind ~rank:src
+    (Slot.host ~op:"Channel.host_notify" t.layout ~src ~dst)
+    ~amount
 
 let host_wait ?waiter ?worker t ~src ~dst ~threshold =
-  check_rank t src "host_wait";
-  check_rank t dst "host_wait";
-  wait_instr ?waiter ?worker t ~kind:"host" ~rank:dst t.host.(dst).(src)
+  wait_instr ?waiter ?worker t ~kind:host_kind ~rank:dst
+    (Slot.host ~op:"Channel.host_wait" t.layout ~src ~dst)
     ~threshold
 
 let total_notifies t =
-  let sum = ref 0 in
-  let count c = sum := !sum + Tilelink_sim.Counter.notify_count c in
-  Array.iter (Array.iter count) t.pc;
-  Array.iter (Array.iter (Array.iter count)) t.peer;
-  Array.iter (Array.iter count) t.host;
-  !sum
+  Array.fold_left
+    (fun n c -> n + Tilelink_sim.Counter.notify_count c)
+    0 t.counters

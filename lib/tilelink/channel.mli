@@ -1,6 +1,13 @@
 (** Barrier channels: the signal fabric tile-centric primitives compile
     to (NVSHMEM-style symmetric counters with release/acquire
-    semantics). *)
+    semantics).
+
+    Counters live in one array indexed by {!Slot}; every accessor
+    resolves its arguments through the slot functions and raises
+    [Invalid_argument "Channel.<op>: <what> <value> out of range"] for
+    an out-of-range rank or channel.  Counter keys ([pc[r][c]],
+    [peer[d<-s][c]], [host[d<-s]]) are formatted once per slot, on
+    first use, for telemetry, the interceptor and pending waits. *)
 
 type t
 
@@ -109,21 +116,24 @@ val cancel_rank_waits : t -> rank:int -> int
     workers from parking forever. *)
 
 val register_remap : t -> key:string -> alias:string -> unit
-(** Make [alias] resolve (for {!force_signal}, {!key_value},
-    {!intended_value} consumers going through [key_value]) to the same
-    counter as [key] — the elastic-remap hook that reroutes a dead
-    rank's channel keys onto survivor-owned counters.  Raises
-    [Invalid_argument] when [key] is unknown. *)
+(** Make [alias] resolve (for {!force_signal}, {!key_value} and
+    {!intended_value}) to the same counter as [key] — the elastic-remap
+    hook that reroutes a dead rank's channel keys onto survivor-owned
+    counters.  Aliases are the only keys kept in a table; canonical
+    keys are parsed back to their slot.  Raises [Invalid_argument] when
+    [key] is unknown. *)
 
 val total_notifies : t -> int
 
 val pending_waits : t -> pending_wait list
-(** Waits currently blocked, oldest first (deterministic order).
+(** Waits currently blocked, oldest first (deterministic order); a wait
+    whose threshold is already met never appears.
     Maintained whether or not telemetry is enabled: this is the
     waiters-for edge list watchdogs and deadlock enrichment read. *)
 
 val key_value : t -> key:string -> int option
-(** Current value of the counter named [key], if it exists. *)
+(** Current value of the counter named [key] (a canonical key or a
+    registered alias), if it exists. *)
 
 val intended_value : t -> key:string -> int
 (** Cumulative amount every producer *attempted* to deliver to [key],

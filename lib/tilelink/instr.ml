@@ -59,6 +59,21 @@ let key_of_target = function
   | Peer { src; dst; channel } -> Printf.sprintf "peer[%d<-%d][%d]" dst src channel
   | Host { src; dst } -> Printf.sprintf "host[%d<-%d]" dst src
 
+(* Inverse of [key_of_target] for the three key shapes.  Lenient about
+   spelling (leading zeros, trailing text); callers that need the
+   canonical key compare against [key_of_target]. *)
+let target_of_key key =
+  let scan fmt f = try Some (Scanf.sscanf key fmt f) with _ -> None in
+  match scan "pc[%d][%d]" (fun rank channel -> Pc { rank; channel }) with
+  | Some t -> Some t
+  | None -> (
+    match
+      scan "peer[%d<-%d][%d]" (fun dst src channel ->
+          Peer { src; dst; channel })
+    with
+    | Some t -> Some t
+    | None -> scan "host[%d<-%d]" (fun dst src -> Host { src; dst }))
+
 (* The rank a wait on this target observes from — the counter's owner
    for [Pc], the producing side for [Peer]/[Host]. *)
 let producer_of_target = function

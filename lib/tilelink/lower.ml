@@ -18,6 +18,16 @@ let bytes_of_access (a : Instr.access) =
   let rows = snd a.row - fst a.row and cols = snd a.col - fst a.col in
   float_of_int rows *. float_of_int cols *. dtype_bytes
 
+(* Copy labels name only the remote rank, so they are built once per
+   rank for every world size in use, not once per copied tile. *)
+let copy_labels prefix = Array.init 64 (fun r -> Label.int1 prefix r "")
+let push_labels = copy_labels "push->r"
+let pull_labels = copy_labels "pull<-r"
+
+let copy_label labels prefix r =
+  if r >= 0 && r < Array.length labels then labels.(r)
+  else Label.int1 prefix r ""
+
 let lower_stmt config (stmt : Primitive.t) : Instr.t list =
   let mapping = config.mapping in
   match stmt with
@@ -120,7 +130,7 @@ let lower_stmt config (stmt : Primitive.t) : Instr.t list =
     [
       Instr.Copy
         {
-          label = Printf.sprintf "push->r%d" dst_rank;
+          label = copy_label push_labels "push->r" dst_rank;
           src;
           dst;
           bytes = bytes_of_access src;
@@ -141,7 +151,7 @@ let lower_stmt config (stmt : Primitive.t) : Instr.t list =
     [
       Instr.Copy
         {
-          label = Printf.sprintf "pull<-r%d" src_rank;
+          label = copy_label pull_labels "pull<-r" src_rank;
           src;
           dst;
           bytes = bytes_of_access src;

@@ -5,8 +5,9 @@
    executes data actions from one thread, this backend executes them
    on OCaml 5 domains for real: every task of every role becomes one
    Backend stream homed on its rank's domain (rank mod team size),
-   and every signal target key ("pc[r][c]" / "peer[d<-s][c]" /
-   "host[d<-s]") becomes one atomic monotonic counter.  Wait/Notify
+   and every signal target becomes one atomic monotonic counter,
+   indexed by its dense [Slot] and labelled with its counter key
+   ("pc[r][c]" / "peer[d<-s][c]" / "host[d<-s]").  Wait/Notify
    lower to acquire loads / release fetch-and-adds on those counters —
    the Pc protocol of instr.ml executed against the real OCaml memory
    model instead of the simulated one.
@@ -35,14 +36,20 @@ type result = {
 }
 
 let lower ~data ~memory (program : Program.t) =
-  let counters : (string, Backend.counter) Hashtbl.t = Hashtbl.create 64 in
+  let layout = Slot.of_program program in
+  let names = Slot.names layout in
+  (* One backend counter per slot, created (and its key formatted) the
+     first time a wait or notify names it. *)
+  let counters : Backend.counter option array =
+    Array.make (Slot.size layout) None
+  in
   let counter_of target =
-    let key = Instr.key_of_target target in
-    match Hashtbl.find_opt counters key with
+    let slot = Slot.of_target ~op:"Parallel.lower" layout target in
+    match counters.(slot) with
     | Some c -> c
     | None ->
-      let c = Backend.counter key in
-      Hashtbl.add counters key c;
+      let c = Backend.counter (Slot.name names slot) in
+      counters.(slot) <- Some c;
       c
   in
   let streams = ref [] in
@@ -133,9 +140,11 @@ let run ?telemetry ?(data = true) ?memory ~domains (program : Program.t) =
   let stats = Backend.run team streams in
   record_telemetry telemetry ~domains stats;
   let key_values =
-    Hashtbl.fold
-      (fun key c acc -> (key, Backend.counter_value c) :: acc)
-      counters []
+    Array.fold_left
+      (fun acc -> function
+        | Some c -> (Backend.counter_key c, Backend.counter_value c) :: acc
+        | None -> acc)
+      [] counters
     |> List.sort compare
   in
   ( memory,

@@ -76,7 +76,8 @@ module Obs = Tilelink_obs
    surface cross-island replay as its own recovery sub-bucket. *)
 let has_suffix label suf =
   let n = String.length label and m = String.length suf in
-  n >= m && String.sub label (n - m) m = suf
+  let rec from i = i = m || (label.[n - m + i] = suf.[i] && from (i + 1)) in
+  n >= m && from 0
 
 let is_replay_label label =
   has_suffix label "+replay" || has_suffix label "+replay@x"
@@ -124,6 +125,18 @@ type exec_ctx = {
 
 let check_live ctx = if not (ctx.ec_live ()) then raise Abandoned
 
+(* The loads of [loads] not yet complete at [now], in order.  The
+   unchanged tail of the list is shared, so the common case — nothing
+   completed since the last load — allocates nothing. *)
+let rec still_pending ~now = function
+  | [] -> []
+  | ((_, ready) as load) :: rest as loads ->
+    if ready > now then begin
+      let rest' = still_pending ~now rest in
+      if rest' == rest then loads else load :: rest'
+    end
+    else still_pending ~now rest
+
 (* Execute one instruction on behalf of [rank], on a worker of a role
    bound to [lane].  [worker_sms] is how many SMs this worker stands
    for (1 for an SM worker, irrelevant for DMA/host).  [interference]
@@ -145,7 +158,7 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
       let t = now () in
       pending_loads :=
         (access, t +. spec.Spec.gpu.load_latency)
-        :: List.filter (fun (_, ready) -> ready > t) !pending_loads
+        :: still_pending ~now:t !pending_loads
     end
   | Instr.Store _ -> ()
   | Instr.Sleep d ->
@@ -749,10 +762,10 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
      3. settle: once a crash's lost tiles are all done, record the
         detect->resume latency and journal the resume. *)
   let cpr = program.Program.pc_channels in
-  (* Fresh alias slots per survivor, allocated monotonically across
-     crashes: a second crash must not reuse slots the first already
+  (* Fresh alias channels per survivor, allocated monotonically across
+     crashes: a second crash must not reuse channels the first already
      aliased, or two logical channels would share one counter. *)
-  let next_slot = Array.make (Program.world_size program) cpr in
+  let next_alias = Array.make (Program.world_size program) cpr in
   (* Crashes remapped but not yet settled, in crash order. *)
   let settling : (int * float) Queue.t = Queue.create () in
   let replayed_total = ref 0 in
@@ -855,11 +868,11 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     let sv = Array.of_list survivors in
     for c = 0 to cpr - 1 do
       let target = sv.(c mod n) in
-      let slot = next_slot.(target) in
-      next_slot.(target) <- slot + 1;
-      Channel.register_remap channels
-        ~key:(Printf.sprintf "pc[%d][%d]" dead c)
-        ~alias:(Printf.sprintf "pc[%d][%d]" target slot)
+      let alias = next_alias.(target) in
+      next_alias.(target) <- alias + 1;
+      let key rank channel = Instr.key_of_target (Instr.Pc { rank; channel }) in
+      Channel.register_remap channels ~key:(key dead c)
+        ~alias:(key target alias)
     done;
     (* The survivors re-host the dead shard: transfers touching it
        succeed again, reading recovered memory. *)

@@ -132,7 +132,7 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
               Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
             ]
           in
-          { Program.label = Printf.sprintf "ag[%d]" tid;
+          { Program.label = Label.int1 "ag[" tid "]";
             instrs = Block_channel.lower bc stmts }
         in
         let push_task tile =
@@ -156,7 +156,7 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
             pushes
             @ [ Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast } ]
           in
-          { Program.label = Printf.sprintf "ag-push[%d]" tid;
+          { Program.label = Label.int1 "ag-push[" tid "]";
             instrs = Block_channel.lower bc stmts }
         in
         let comm_tasks =
@@ -210,8 +210,8 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
                        Primitive.Compute
                          {
                            label =
-                             Printf.sprintf "gemm[%d,%d]k%d" tile.Tile.tid_m
-                               tile.Tile.tid_n kc;
+                             Label.int3 "gemm[" tile.Tile.tid_m ","
+                               tile.Tile.tid_n "]k" kc "";
                            cost =
                              Instr.Gemm_tile
                                { tm = hi - lo; tn = chi - clo; k = khi - klo };
@@ -237,7 +237,7 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
           in
           {
             Program.label =
-              Printf.sprintf "gemm[%d,%d]" tile.Tile.tid_m tile.Tile.tid_n;
+              Label.int2 "gemm[" tile.Tile.tid_m "," tile.Tile.tid_n "]";
             instrs =
               Pipeline.hoist_loads ~stages:config.Design_space.stages
                 (Block_channel.lower bc stmts);
@@ -397,6 +397,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
           let lo, hi = Tile.rows gemm_grid tile in
           let clo, chi = Tile.cols gemm_grid tile in
           let tid_m = tile.Tile.tid_m in
+          let label = Label.int2 "gemm[" tid_m "," tile.Tile.tid_n "]" in
           let action memory ~rank =
             let a = Memory.find memory ~rank ~name:"act" in
             let w = Memory.find memory ~rank ~name:"w2" in
@@ -414,7 +415,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
                 (access ~buffer:"w2" ~row:(0, spec.rs_k) ~col:(clo, chi) ());
               Primitive.Compute
                 {
-                  label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n;
+                  label;
                   cost =
                     Instr.Gemm_tile
                       { tm = hi - lo; tn = chi - clo; k = spec.rs_k };
@@ -430,7 +431,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
             ]
           in
           {
-            Program.label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n;
+            Program.label = label;
             instrs = Block_channel.lower bc stmts;
           }
         in
@@ -529,7 +530,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
           @ [
               Primitive.Compute
                 {
-                  label = Printf.sprintf "reduce[s%d,%d]" stage tile_key;
+                  label = Label.int2 "reduce[s" stage "," tile_key "]";
                   cost =
                     Instr.Memory_tile
                       {
@@ -557,7 +558,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
         let rs_task ~stage tile =
           {
             Program.label =
-              Printf.sprintf "rs[s%d,%d]" stage (Tile.linearize rs_grid tile);
+              Label.int2 "rs[s" stage "," (Tile.linearize rs_grid tile) "]";
             instrs = Block_channel.lower bc (reduce_stmts ~stage tile);
           }
         in

@@ -16,8 +16,11 @@
 
    Signal layout (peer channels): arrival of step s = channel 2s
    (src = previous rank, or self for s = 0); consumption of step s =
-   channel 2s+1 (notified tile-by-tile toward the previous rank, which
-   is the next writer of that slot). *)
+   channel 2s+1 (notified tile-by-tile, and by the forwarding copy,
+   toward the previous rank, which is the next writer of that slot);
+   step order of q tile t = channel 2R + t (self-signalled: a tile's
+   step s+1 waits for its step s, because every step updates the
+   tile's one flash state). *)
 
 open Tilelink_core
 open Tilelink_tensor
@@ -67,6 +70,7 @@ let program ?(config = default_config) (spec : Attention.spec)
   let n_tasks = z_count * m_tiles in
   let arrival step = 2 * step in
   let consumed step = (2 * step) + 1 in
+  let step_order tile = (2 * r) + tile in
   let rows = z_count * spr in
   let plans =
     Array.init r (fun rank ->
@@ -119,7 +123,8 @@ let program ?(config = default_config) (spec : Attention.spec)
             ]
           in
           let wait_slot_free =
-            (* The destination slot was read by next's step s-1. *)
+            (* The destination slot was read by next's step s-1: by
+               every tile and by next's own forwarding copy. *)
             if s = 0 then []
             else
               [
@@ -127,7 +132,7 @@ let program ?(config = default_config) (spec : Attention.spec)
                   {
                     tile_key = consumed (s - 1);
                     src = next;
-                    threshold = n_tasks;
+                    threshold = n_tasks + 1;
                     guards = [];
                   };
               ]
@@ -160,6 +165,17 @@ let program ?(config = default_config) (spec : Attention.spec)
                 };
             ]
           in
+          let release_slot =
+            (* The forwarding copy has read this slot: prev may refill
+               it with block s+2 (only a later send step waits). *)
+            if s + 2 > r - 1 then []
+            else
+              [
+                Primitive.Peer_tile_notify
+                  { tile_key = consumed s; dst = prev; amount = 1;
+                    releases = [] };
+              ]
+          in
           {
             Program.label = Printf.sprintf "ring-send[%d]" s;
             instrs =
@@ -172,7 +188,7 @@ let program ?(config = default_config) (spec : Attention.spec)
                   world_size = r;
                 }
                 (seed_copy @ wait_arrival @ wait_slot_free @ pushes
-               @ announce);
+               @ announce @ release_slot);
           }
         in
         let comm_tasks = List.init (r - 1) comm_step in
@@ -181,8 +197,13 @@ let program ?(config = default_config) (spec : Attention.spec)
            deadlock whenever tiles outnumber workers: the consumed
            threshold of a step counts *every* tile).  Flash state
            persists across a tile's step tasks through a shared
-           closure; online softmax is arrival-order insensitive, so
-           concurrent steps of one tile are safe. --- *)
+           closure, so the steps of one tile must not overlap: each
+           step waits on the tile's step-order channel for the one
+           before it (online softmax tolerates any step order
+           mathematically, but concurrent updates of one state race,
+           and a different order changes the floating-point result).
+           The state is named as the "flash_state" rows of the tile so
+           the order is visible to the consistency checker. --- *)
         let attn_task z mt =
           let qlo = (z * spr) + (mt * config.q_tile) in
           let qhi = qlo + config.q_tile in
@@ -200,6 +221,10 @@ let program ?(config = default_config) (spec : Attention.spec)
               let s = Nn.Flash.create ~mask:tile_mask ~m:config.q_tile ~d () in
               state := Some s;
               s
+          in
+          let tile = (z * m_tiles) + mt in
+          let state_rows =
+            access ~buffer:"flash_state" ~row:(qlo, qhi) ~col:(0, d) ()
           in
           let step_stmts s =
             let slot = s mod 2 in
@@ -226,7 +251,18 @@ let program ?(config = default_config) (spec : Attention.spec)
               Nn.Flash.update (get_state ()) q_block k_block v_block
                 ~kv_offset:(seg * spr)
             in
-            [
+            (if s = 0 then []
+             else
+               [
+                 Primitive.Peer_tile_wait
+                   {
+                     tile_key = step_order tile;
+                     src = rank;
+                     threshold = s;
+                     guards = [ state_rows ];
+                   };
+               ])
+            @ [
               Primitive.Peer_tile_wait
                 {
                   tile_key = arrival s;
@@ -247,8 +283,9 @@ let program ?(config = default_config) (spec : Attention.spec)
                     [
                       access ~buffer:k_name ~row:(z * spr, (z + 1) * spr)
                         ~col:(0, d) ();
+                      state_rows;
                     ];
-                  writes = [];
+                  writes = [ state_rows ];
                   action = Some action;
                 };
             ]
@@ -259,6 +296,9 @@ let program ?(config = default_config) (spec : Attention.spec)
                 Primitive.Peer_tile_notify
                   { tile_key = consumed s; dst = prev; amount = 1;
                     releases = [] };
+                Primitive.Peer_tile_notify
+                  { tile_key = step_order tile; dst = rank; amount = 1;
+                    releases = [ state_rows ] };
               ]
           in
           let finish_action memory ~rank =
@@ -280,7 +320,7 @@ let program ?(config = default_config) (spec : Attention.spec)
                       cost =
                         Instr.Memory_tile
                           { rows = config.q_tile; cols = d; passes = 1 };
-                      reads = [];
+                      reads = [ state_rows ];
                       writes =
                         [ access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) () ];
                       action = Some finish_action;
@@ -334,4 +374,4 @@ let program ?(config = default_config) (spec : Attention.spec)
         ])
   in
   Program.create ~name:"ring_attention" ~world_size:r ~pc_channels:1
-    ~peer_channels:(2 * r) plans
+    ~peer_channels:((2 * r) + n_tasks) plans

@@ -110,6 +110,17 @@ let test_suite_single_domain () =
     (fun name -> check_case ~domains:1 name (List.assoc name cases))
     [ "mlp_ag_gemm_pull/w2/t2"; "mlp_gemm_rs/w4"; "ring_attention/w2" ]
 
+(* Ring attention on 4 ranks reuses each KV slot every other step and
+   updates one flash state per q tile across steps; a missing order
+   (a slot refilled while the forwarding copy still reads it, or two
+   steps of a tile updating its state at once) shows up only in some
+   interleavings, so run the case repeatedly. *)
+let test_ring_attention_repeated () =
+  let case = List.assoc "ring_attention/w4" (Suite.data_cases ()) in
+  for _ = 1 to 20 do
+    check_case ~domains:2 "ring_attention/w4" case
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Randomized Table-2-style specs (QCheck)                             *)
 (* ------------------------------------------------------------------ *)
@@ -246,6 +257,8 @@ let () =
             test_suite_bit_identity;
           Alcotest.test_case "single-domain team" `Quick
             test_suite_single_domain;
+          Alcotest.test_case "ring attention, repeated" `Quick
+            test_ring_attention_repeated;
           QCheck_alcotest.to_alcotest qcheck_random_specs;
         ] );
       ( "guards",
