@@ -780,8 +780,8 @@ let bench_json_mlp () =
             (fun () ->
               let tel = Obs.Telemetry.create () in
               let run =
-                Mlp.profile_ag_gemm ~config:ag_config ~telemetry:tel ag_spec
-                  ~spec_gpu:spec
+                Profiled.run ~telemetry:tel ~spec_gpu:spec
+                  (Mlp.ag_gemm_program ~config:ag_config ag_spec ~spec_gpu:spec)
               in
               bench_row ~config_name:c.Shapes.mlp_name ~kernel:"ag_gemm" run
                 tel);
@@ -794,8 +794,8 @@ let bench_json_mlp () =
             (fun () ->
               let tel = Obs.Telemetry.create () in
               let run =
-                Mlp.profile_gemm_rs ~config:rs_config ~telemetry:tel rs_spec
-                  ~spec_gpu:spec
+                Profiled.run ~telemetry:tel ~spec_gpu:spec
+                  (Mlp.gemm_rs_program ~config:rs_config rs_spec ~spec_gpu:spec)
               in
               bench_row ~config_name:c.Shapes.mlp_name ~kernel:"gemm_rs" run
                 tel);
@@ -810,7 +810,7 @@ let bench_json_moe () =
         Printf.sprintf "s=%d,h=%d,i=%d,e=%d,topk=%d,seed=17" c.Shapes.moe_s
           c.Shapes.moe_h c.Shapes.moe_i c.Shapes.experts c.Shapes.topk
       in
-      let part kernel profile =
+      let part kernel build =
         {
           descr =
             Printf.sprintf "bench-v1|moe|%s|%s|%s|config=default" kernel
@@ -820,15 +820,18 @@ let bench_json_moe () =
               let moe = Moe_baselines.spec_of_shape c ~world_size:world in
               let route = Moe.routing moe ~seed:17 in
               let tel = Obs.Telemetry.create () in
-              let run = profile ~telemetry:tel moe route ~spec_gpu:spec in
+              let run =
+                Profiled.run ~telemetry:tel ~spec_gpu:spec
+                  (build moe route ~spec_gpu:spec)
+              in
               bench_row ~config_name:c.Shapes.moe_name ~kernel run tel);
         }
       in
       [
-        part "moe_part1" (fun ~telemetry moe route ~spec_gpu ->
-            Moe.profile_part1 ~telemetry moe route ~spec_gpu);
-        part "moe_part2" (fun ~telemetry moe route ~spec_gpu ->
-            Moe.profile_part2 ~telemetry moe route ~spec_gpu);
+        part "moe_part1" (fun moe route ~spec_gpu ->
+            Moe.part1_program moe route ~spec_gpu);
+        part "moe_part2" (fun moe route ~spec_gpu ->
+            Moe.part2_program moe route ~spec_gpu);
       ])
     Shapes.moe_configs
 
@@ -873,8 +876,8 @@ let bench_json_smoke () =
         (fun () ->
           let tel = Obs.Telemetry.create () in
           let run =
-            Mlp.profile_ag_gemm ~config:ag_config ~telemetry:tel ag_spec
-              ~spec_gpu:spec
+            Profiled.run ~telemetry:tel ~spec_gpu:spec
+              (Mlp.ag_gemm_program ~config:ag_config ag_spec ~spec_gpu:spec)
           in
           bench_row ~config_name:"smoke" ~kernel:"ag_gemm" run tel);
     };
@@ -887,8 +890,8 @@ let bench_json_smoke () =
         (fun () ->
           let tel = Obs.Telemetry.create () in
           let run =
-            Mlp.profile_gemm_rs ~config:rs_config ~telemetry:tel rs_spec
-              ~spec_gpu:spec
+            Profiled.run ~telemetry:tel ~spec_gpu:spec
+              (Mlp.gemm_rs_program ~config:rs_config rs_spec ~spec_gpu:spec)
           in
           bench_row ~config_name:"smoke" ~kernel:"gemm_rs" run tel);
     };
@@ -1279,14 +1282,16 @@ let bench_json_parallel () =
 (* planner suite                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The auto-overlap planner against every hand-written AG+GEMM schedule
-   of the shipped-program sweep (same shapes, machine and design points
-   as [Suite.build_cases]), plus operator graphs no hand-written kernel
-   covers.  The candidate list handed to the planner includes the
-   hand-written design points, so "rediscover or beat" is a sharp gate:
-   the search minimum can never lose to a hand schedule by more than
-   simulation noise (and the simulator is deterministic, so not even
-   that). *)
+(* The auto-overlap planner's search against every fixed-design-point
+   AG+GEMM schedule of the shipped-program sweep (same shapes, machine
+   and design points as [Suite.build_cases]), plus operator graphs no
+   shipped kernel covers.  "hand" below and in the row fields names the
+   [Mlp.ag_gemm_program] schedule; the names stay so committed baseline
+   rows keep comparing.  The candidate list handed to the planner
+   includes the fixed design points, so "rediscover or beat" is a sharp
+   gate: the search minimum can never lose to a fixed schedule by more
+   than simulation noise (and the simulator is deterministic, so not
+   even that). *)
 
 module Planner = Tilelink_core.Planner
 
@@ -1376,7 +1381,7 @@ let bench_json_planner () =
                       let plan =
                         planner_search ~world
                           ~extra:(planner_hand_candidates ~world)
-                          (Planned.mlp_graph shapes)
+                          (Mlp.ag_gemm_graph shapes)
                       in
                       let planner_us, overlap =
                         planner_run ~world plan.Planner.p_program

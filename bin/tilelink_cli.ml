@@ -17,12 +17,29 @@ open Tilelink_baselines
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let world_arg =
-  Arg.(value & opt int 8 & info [ "world" ] ~docv:"N" ~doc:"Number of ranks.")
+(* Ranks and extents: a zero or negative value would reach integer
+   division in the builders, so it is rejected while parsing (usage
+   hint, exit 2). *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 1 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
-let m_arg = Arg.(value & opt int 8192 & info [ "m" ] ~doc:"Row extent (M).")
-let k_arg = Arg.(value & opt int 4096 & info [ "k" ] ~doc:"Reduction dim (K).")
-let n_arg = Arg.(value & opt int 2752 & info [ "n" ] ~doc:"Column extent (N).")
+let world_arg =
+  Arg.(
+    value & opt pos_int 8 & info [ "world" ] ~docv:"N" ~doc:"Number of ranks.")
+
+let m_arg =
+  Arg.(value & opt pos_int 8192 & info [ "m" ] ~doc:"Row extent (M).")
+
+let k_arg =
+  Arg.(value & opt pos_int 4096 & info [ "k" ] ~doc:"Reduction dim (K).")
+
+let n_arg =
+  Arg.(value & opt pos_int 2752 & info [ "n" ] ~doc:"Column extent (N).")
 
 let binding_arg =
   let parse = function
@@ -1011,16 +1028,16 @@ let profile workload world m k n out_prefix check critical_path min_level =
       config ~world ~binding:Design_space.Comm_on_dma ~comm_tile:512
         ~compute_tile:128 ~stages:2 ~ring:true
     in
-    let name, (cluster, result) =
+    let name, program =
       match workload with
       | `Mlp ->
         ( "mlp",
-          Mlp.profile_ag_gemm ~config:cfg ~telemetry
+          Mlp.ag_gemm_program ~config:cfg
             { Mlp.m; k; n; world_size = world }
             ~spec_gpu:spec )
       | `Gemm_rs ->
         ( "gemm-rs",
-          Mlp.profile_gemm_rs
+          Mlp.gemm_rs_program
             ~config:
               {
                 cfg with
@@ -1028,7 +1045,6 @@ let profile workload world m k n out_prefix check critical_path min_level =
                 compute_order = Tile.Ring_prev_first { segments = world };
                 comm_tile = (128, 2048);
               }
-            ~telemetry
             { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
             ~spec_gpu:spec )
       | `Moe ->
@@ -1043,9 +1059,9 @@ let profile workload world m k n out_prefix check critical_path min_level =
           }
         in
         ( "moe",
-          Moe.profile_part1 ~telemetry moe (Moe.routing moe ~seed:17)
-            ~spec_gpu:spec )
+          Moe.part1_program moe (Moe.routing moe ~seed:17) ~spec_gpu:spec )
     in
+    let cluster, result = Profiled.run ~telemetry ~spec_gpu:spec program in
     (name, telemetry, cluster, result)
   in
   let name, telemetry, cluster, result = run () in

@@ -8,6 +8,8 @@
    ordinary [Program.t] using only [Primitive] statements lowered
    through a [Mapping.static]: every notify and wait in the result
    comes out of the tile-centric lowering, none is written by hand.
+   [Mlp.ag_gemm_program] is this synthesis at a fixed candidate, so
+   the AllGather+GEMM kernel has no builder of its own.
 
    Candidate pruning and scoring run through [Tune.search_planned]:
    the analyzer rejects statically-broken protocols before any
@@ -41,7 +43,7 @@ type graph = {
 
 let graph ~name ~rows ~cols ~world ?(shard = "x_shard") ?(gathered = "x_full")
     consumers =
-  if world < 2 then invalid_arg "Planner.graph: world must be >= 2";
+  if world < 1 then invalid_arg "Planner.graph: world must be >= 1";
   if rows mod world <> 0 then
     invalid_arg "Planner.graph: rows must divide over the world";
   if cols < 1 then invalid_arg "Planner.graph: cols must be >= 1";
@@ -209,19 +211,6 @@ let softmax_rows x =
   done;
   out
 
-let split_fraction fraction tasks =
-  let cut = int_of_float (fraction *. float_of_int (List.length tasks)) in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else begin
-        let front, back = take (i - 1) rest in
-        (x :: front, back)
-      end
-  in
-  take cut tasks
-
 (* The gather side of one rank: pull mode fetches every producer tile
    into the local gathered buffer and signals the local consumers;
    push mode broadcasts this rank's own shard tiles into every rank's
@@ -245,10 +234,8 @@ let comm_tasks g cand ~rank ~bc ~mapping ~comm_grid =
         Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
       ]
     in
-    {
-      Program.label = Printf.sprintf "gather[%d]" tid;
-      instrs = Block_channel.lower bc stmts;
-    }
+    { Program.label = Label.int1 "ag[" tid "]";
+      instrs = Block_channel.lower bc stmts }
   in
   let push_task tile =
     let tid = Tile.linearize comm_grid tile in
@@ -270,10 +257,8 @@ let comm_tasks g cand ~rank ~bc ~mapping ~comm_grid =
       pushes
       @ [ Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast } ]
     in
-    {
-      Program.label = Printf.sprintf "gather-push[%d]" tid;
-      instrs = Block_channel.lower bc stmts;
-    }
+    { Program.label = Label.int1 "ag-push[" tid "]";
+      instrs = Block_channel.lower bc stmts }
   in
   let tiles =
     Tile.enumerate ~rank comm_grid cand.pl_config.Design_space.comm_order
@@ -288,109 +273,168 @@ let comm_tasks g cand ~rank ~bc ~mapping ~comm_grid =
         else None)
       tiles
 
-(* One consumer tile: wait for the gathered rows it reads, loop over
-   [pl_chunks] column chunks of the gathered buffer, run the kind's
-   compute (the data action rides on the last non-empty chunk), store
-   the output tile. *)
-let consumer_task g cand co ~bc ~grid tile =
+(* The gather roles the binding asks for, and the SMs they take from
+   the consumers.  A hybrid binding puts a DMA-bound prefix of the
+   gather on the copy engines and the remainder on SMs. *)
+let comm_roles binding gather ~(spec_gpu : Tilelink_machine.Spec.t) =
+  let sm_role sms tasks =
+    {
+      Program.role_name = "allgather-sm";
+      resource = Program.Sm_partition sms;
+      lane = Tilelink_sim.Trace.Comm_sm;
+      tasks;
+    }
+  in
+  let dma_role tasks =
+    {
+      Program.role_name = "allgather-dma";
+      resource =
+        Program.Dma_engines
+          (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels);
+      lane = Tilelink_sim.Trace.Dma;
+      tasks;
+    }
+  in
+  match binding with
+  | Design_space.Comm_on_sm sms -> ([ sm_role sms gather ], sms)
+  | Design_space.Comm_on_dma -> ([ dma_role gather ], 0)
+  | Design_space.Comm_hybrid { dma_fraction; sms } ->
+    let cut =
+      int_of_float (dma_fraction *. float_of_int (List.length gather))
+    in
+    ( [
+        dma_role (List.filteri (fun i _ -> i < cut) gather);
+        sm_role sms (List.filteri (fun i _ -> i >= cut) gather);
+      ],
+      sms )
+
+(* The data action of one consumer tile as a function of the tile's
+   bounds.  It is made once per consumer, so a tile's closure holds
+   only this kernel and its four bounds. *)
+let tile_kernel g cand co =
+  let gathered = g.g_gathered and out = co.co_out in
+  match co.co_kind with
+  | Gemm { weights; n = _ } ->
+    let block = cand.pl_config.Design_space.micro_block in
+    fun memory ~rank ~lo ~hi ~clo ~chi ->
+      let x = Memory.find memory ~rank ~name:gathered in
+      let w = Memory.find memory ~rank ~name:weights in
+      let y = Memory.find memory ~rank ~name:out in
+      Tensor.set_block y ~row_lo:lo ~col_lo:clo
+        (Linalg.gemm ~block
+           (Tensor.row_slice x ~lo ~hi)
+           (Tensor.col_slice w ~lo:clo ~hi:chi))
+  | Softmax_rows ->
+    fun memory ~rank ~lo ~hi ~clo:_ ~chi:_ ->
+      let x = Memory.find memory ~rank ~name:gathered in
+      let p = Memory.find memory ~rank ~name:out in
+      Tensor.set_block p ~row_lo:lo ~col_lo:0
+        (softmax_rows (Tensor.row_slice x ~lo ~hi))
+
+(* One consumer's role on one rank.  Each tile waits for the gathered
+   rows it reads, loads them in [pl_chunks] column chunks, runs the
+   kind's compute (a GEMM computes per chunk and its data action rides
+   on the last chunk; a softmax computes once over whole rows) and
+   stores its output tile. *)
+let consumer_role g cand co ~bc ~rank ~sms =
   let config = cand.pl_config in
-  let lo, hi = Tile.rows grid tile in
-  let clo, chi = Tile.cols grid tile in
+  let tm, tn = config.Design_space.compute_tile in
+  let grid =
+    match co.co_kind with
+    | Gemm { n; _ } ->
+      Tile.grid ~extent_m:g.g_rows ~extent_n:n ~tile_m:tm ~tile_n:tn
+    | Softmax_rows ->
+      (* Row softmax needs whole rows in one tile. *)
+      Tile.grid ~extent_m:g.g_rows ~extent_n:g.g_cols ~tile_m:tm
+        ~tile_n:g.g_cols
+  in
+  let prefix = co.co_name ^ "[" in
+  let kernel = tile_kernel g cand co in
   let chunk = ceil_div g.g_cols cand.pl_chunks in
   let live_chunks = ceil_div g.g_cols chunk in
-  let chunk_range kc = (kc * chunk, min g.g_cols ((kc + 1) * chunk)) in
-  let body =
-    match co.co_kind with
-    | Gemm { weights; n = _ } ->
-      let action memory ~rank =
-        let x = Memory.find memory ~rank ~name:g.g_gathered in
-        let w = Memory.find memory ~rank ~name:weights in
-        let y = Memory.find memory ~rank ~name:co.co_out in
-        let block =
-          Linalg.gemm ~block:config.Design_space.micro_block
-            (Tensor.row_slice x ~lo ~hi)
-            (Tensor.col_slice w ~lo:clo ~hi:chi)
-        in
-        Tensor.set_block y ~row_lo:lo ~col_lo:clo block
-      in
-      List.concat
-        (List.init live_chunks (fun kc ->
-             let klo, khi = chunk_range kc in
-             if klo >= khi then []
-             else
-               [
-                 Primitive.Load
-                   (access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(klo, khi)
-                      ());
-                 Primitive.Load
-                   (access ~buffer:weights ~row:(klo, khi) ~col:(clo, chi) ());
-                 Primitive.Compute
-                   {
-                     label =
-                       Printf.sprintf "%s[%d,%d]k%d" co.co_name tile.Tile.tid_m
-                         tile.Tile.tid_n kc;
-                     cost =
-                       Instr.Gemm_tile
-                         { tm = hi - lo; tn = chi - clo; k = khi - klo };
-                     reads =
-                       [
-                         access ~buffer:g.g_gathered ~row:(lo, hi)
-                           ~col:(klo, khi) ();
-                       ];
-                     writes = [];
-                     action =
-                       (if kc = live_chunks - 1 then Some action else None);
-                   };
-               ]))
-    | Softmax_rows ->
-      (* Full-width tiles (the grid guarantees clo = 0, chi = cols):
-         chunked loads for pipelining, one compute pass. *)
-      let action memory ~rank =
-        let x = Memory.find memory ~rank ~name:g.g_gathered in
-        let out = Memory.find memory ~rank ~name:co.co_out in
-        Tensor.set_block out ~row_lo:lo ~col_lo:0
-          (softmax_rows (Tensor.row_slice x ~lo ~hi))
-      in
-      List.concat
-        (List.init live_chunks (fun kc ->
-             let klo, khi = chunk_range kc in
-             if klo >= khi then []
-             else
-               [
-                 Primitive.Load
-                   (access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(klo, khi)
-                      ());
-               ]))
-      @ [
-          Primitive.Compute
-            {
-              label =
-                Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m
-                  tile.Tile.tid_n;
-              cost =
-                Instr.Memory_tile
-                  { rows = hi - lo; cols = chi - clo; passes = 3 };
-              reads =
-                [ access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(clo, chi) () ];
-              writes = [];
-              action = Some action;
-            };
-        ]
-  in
-  let stmts =
-    Primitive.Consumer_tile_wait
-      { lo; hi; buffer = g.g_gathered; col = (0, g.g_cols) }
-    :: body
-    @ [
-        Primitive.Store (access ~buffer:co.co_out ~row:(lo, hi) ~col:(clo, chi) ());
+  let task tile =
+    let lo, hi = Tile.rows grid tile in
+    let clo, chi = Tile.cols grid tile in
+    let i = tile.Tile.tid_m and j = tile.Tile.tid_n in
+    let action memory ~rank = kernel memory ~rank ~lo ~hi ~clo ~chi in
+    let store =
+      [
+        Primitive.Store
+          (access ~buffer:co.co_out ~row:(lo, hi) ~col:(clo, chi) ());
       ]
+    in
+    let gathered kc =
+      let klo = kc * chunk in
+      access ~buffer:g.g_gathered ~row:(lo, hi)
+        ~col:(klo, min g.g_cols (klo + chunk))
+        ()
+    in
+    let body =
+      match co.co_kind with
+      | Gemm { weights; n = _ } ->
+        let rec k_loop kc =
+          if kc = live_chunks then store
+          else
+            let x = gathered kc in
+            let klo, khi = x.Instr.col in
+            Primitive.Load x
+            :: Primitive.Load
+                 (access ~buffer:weights ~row:(klo, khi) ~col:(clo, chi) ())
+            :: Primitive.Compute
+                 {
+                   label = Label.int3 prefix i "," j "]k" kc "";
+                   cost =
+                     Instr.Gemm_tile
+                       { tm = hi - lo; tn = chi - clo; k = khi - klo };
+                   reads = [ x ];
+                   writes = [];
+                   action =
+                     (if kc = live_chunks - 1 then Some action else None);
+                 }
+            :: k_loop (kc + 1)
+        in
+        k_loop 0
+      | Softmax_rows ->
+        let rec loads kc =
+          if kc = live_chunks then
+            Primitive.Compute
+              {
+                label = Label.int2 prefix i "," j "]";
+                cost =
+                  Instr.Memory_tile
+                    { rows = hi - lo; cols = chi - clo; passes = 3 };
+                reads =
+                  [
+                    access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(clo, chi)
+                      ();
+                  ];
+                writes = [];
+                action = Some action;
+              }
+            :: store
+          else Primitive.Load (gathered kc) :: loads (kc + 1)
+        in
+        loads 0
+    in
+    let stmts =
+      Primitive.Consumer_tile_wait
+        { lo; hi; buffer = g.g_gathered; col = (0, g.g_cols) }
+      :: body
+    in
+    {
+      Program.label = Label.int2 prefix i "," j "]";
+      instrs =
+        Pipeline.hoist_loads ~stages:config.Design_space.stages
+          (Block_channel.lower bc stmts);
+    }
   in
   {
-    Program.label =
-      Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m tile.Tile.tid_n;
-    instrs =
-      Pipeline.hoist_loads ~stages:config.Design_space.stages
-        (Block_channel.lower bc stmts);
+    Program.role_name = co.co_name;
+    resource = Program.Sm_partition sms;
+    lane = Tilelink_sim.Trace.Compute_sm;
+    tasks =
+      List.map task
+        (Tile.enumerate ~rank grid config.Design_space.compute_order);
   }
 
 let synthesize g cand ~spec_gpu =
@@ -398,105 +442,38 @@ let synthesize g cand ~spec_gpu =
   let config = cand.pl_config in
   if cand.pl_chunks < 1 then
     invalid_arg "Planner.synthesize: chunks must be >= 1";
-  let comm_tm = fst config.Design_space.comm_tile in
+  let comm_tm, comm_tn = config.Design_space.comm_tile in
+  let compute_tm, compute_tn = config.Design_space.compute_tile in
+  if min (min comm_tm comm_tn) (min compute_tm compute_tn) < 1 then
+    invalid_arg "Planner.synthesize: tile dimensions must be positive";
   let shard_rows = g.g_rows / r in
   if shard_rows mod comm_tm <> 0 then
     invalid_arg "Planner.synthesize: comm tile must divide the shard";
-  let channels_per_rank = shard_rows / comm_tm in
   let mapping =
-    Mapping.static ~extent:g.g_rows ~ranks:r ~channels_per_rank ~tile:comm_tm
-      ()
+    Mapping.static ~extent:g.g_rows ~ranks:r
+      ~channels_per_rank:(shard_rows / comm_tm) ~tile:comm_tm ()
   in
   let comm_grid =
     Tile.grid ~extent_m:g.g_rows ~extent_n:g.g_cols ~tile_m:comm_tm
       ~tile_n:g.g_cols
   in
-  let compute_tm, compute_tn = config.Design_space.compute_tile in
-  let consumer_grid co =
-    match co.co_kind with
-    | Gemm _ ->
-      Tile.grid ~extent_m:g.g_rows ~extent_n:(out_cols g co)
-        ~tile_m:compute_tm ~tile_n:compute_tn
-    | Softmax_rows ->
-      (* Row softmax needs whole rows in one tile. *)
-      Tile.grid ~extent_m:g.g_rows ~extent_n:g.g_cols ~tile_m:compute_tm
-        ~tile_n:g.g_cols
-  in
   let n_consumers = List.length g.g_consumers in
   let plans =
     Array.init r (fun rank ->
         let bc = Block_channel.create ~rank ~world_size:r mapping in
-        let gather = comm_tasks g cand ~rank ~bc ~mapping ~comm_grid in
-        let comm_roles =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms ->
-            [
-              {
-                Program.role_name = "gather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = gather;
-              };
-            ]
-          | Design_space.Comm_on_dma ->
-            [
-              {
-                Program.role_name = "gather-dma";
-                resource =
-                  Program.Dma_engines
-                    (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = gather;
-              };
-            ]
-          | Design_space.Comm_hybrid { dma_fraction; sms } ->
-            let dma_tasks, sm_tasks = split_fraction dma_fraction gather in
-            [
-              {
-                Program.role_name = "gather-dma";
-                resource =
-                  Program.Dma_engines
-                    (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = dma_tasks;
-              };
-              {
-                Program.role_name = "gather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = sm_tasks;
-              };
-            ]
+        let roles, comm_sms =
+          comm_roles config.Design_space.binding ~spec_gpu
+            (comm_tasks g cand ~rank ~bc ~mapping ~comm_grid)
         in
-        let comm_sms =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms -> sms
-          | Design_space.Comm_on_dma -> 0
-          | Design_space.Comm_hybrid { sms; _ } -> sms
-        in
+        (* The consumers share whatever communication leaves. *)
         let compute_sms =
           max 1 (spec_gpu.Tilelink_machine.Spec.gpu.num_sms - comm_sms)
         in
-        let per_consumer_sms = max 1 (compute_sms / n_consumers) in
-        let consumer_roles =
-          List.map
-            (fun co ->
-              let grid = consumer_grid co in
-              let tasks =
-                List.map
-                  (consumer_task g cand co ~bc ~grid)
-                  (Tile.enumerate ~rank grid
-                     config.Design_space.compute_order)
-              in
-              {
-                Program.role_name = co.co_name;
-                resource = Program.Sm_partition per_consumer_sms;
-                lane = Tilelink_sim.Trace.Compute_sm;
-                tasks;
-              })
-            g.g_consumers
-        in
-        comm_roles @ consumer_roles)
+        let sms = max 1 (compute_sms / n_consumers) in
+        roles
+        @ List.map
+            (fun co -> consumer_role g cand co ~bc ~rank ~sms)
+            g.g_consumers)
   in
   Program.create ~name:g.g_name ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping)

@@ -51,9 +51,9 @@ val graph :
   consumer list ->
   graph
 (** Validated constructor ([shard] defaults to ["x_shard"], [gathered]
-    to ["x_full"]).  Raises [Invalid_argument] when [rows] does not
-    divide over [world], the consumer list is empty, or two consumers
-    share an output buffer. *)
+    to ["x_full"]).  Raises [Invalid_argument] when [world < 1], [rows]
+    does not divide over [world], [cols < 1], the consumer list is
+    empty, or two consumers share an output buffer. *)
 
 val graph_fingerprint : graph -> string
 (** Stable identity of the operator graph and shape — the workload
@@ -106,8 +106,13 @@ val synthesize :
 (** Build the full overlapped program for one candidate: the gather
     protocol (push or pull), every consumer's waits, chunked loads,
     compute actions and stores, and the resource roles the binding
-    asks for.  Raises [Invalid_argument] on infeasible tile/shape
-    combinations — {!Tune} counts those as skipped builds. *)
+    asks for.  The gather role is ["allgather-sm"] and/or
+    ["allgather-dma"] with tasks ["ag[tid]"] (pull) or
+    ["ag-push[tid]"] (push); each consumer's role and tiles take the
+    consumer's name.  {!Tilelink_workloads.Mlp.ag_gemm_program} is this
+    function at a fixed candidate.  Raises [Invalid_argument] on a
+    non-positive tile dimension or an infeasible tile/shape combination
+    — {!Tune} counts those as skipped builds. *)
 
 (** {1 Search} *)
 

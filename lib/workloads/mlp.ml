@@ -3,10 +3,11 @@
    Two overlapped kernels (Figure 1 / Figure 4 of the paper):
 
    - [ag_gemm_program]: AllGather of the activation over M, overlapped
-     with GEMM.  The communication role pulls remote shards tile by
-     tile (SM-, DMA- or hybrid-bound per the design-space config) and
-     signals producer channels; GEMM consumer tiles wait only for the
-     rows they read.
+     with GEMM.  It is the planner's AllGather+GEMM operator graph
+     ([ag_gemm_graph]) synthesized at one design point: the
+     communication role pulls (or pushes) shard tiles and signals
+     producer channels; GEMM consumer tiles wait only for the rows they
+     read.
 
    - [gemm_rs_program]: GEMM producing a partial [M, N] overlapped with
      a ring ReduceScatter consumer exactly as in Figure 4 — per-tile
@@ -29,24 +30,6 @@ type ag_gemm_spec = {
 }
 
 let access = Instr.access
-
-let ceil_div a b = (a + b - 1) / b
-
-(* Split a task list between a DMA-bound prefix and an SM-bound
-   remainder for hybrid bindings. *)
-let split_fraction fraction tasks =
-  let n = List.length tasks in
-  let cut = int_of_float (fraction *. float_of_int n) in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else begin
-        let front, back = take (i - 1) rest in
-        (x :: front, back)
-      end
-  in
-  take cut tasks
 
 (* ------------------------------------------------------------------ *)
 (* AllGather + GEMM                                                    *)
@@ -84,228 +67,22 @@ let ag_gemm_reference memory spec ~rank =
   Linalg.gemm (Tensor.concat_rows shards)
     (Memory.find memory ~rank ~name:"w")
 
-let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
-    ~(config : Design_space.config) spec ~(spec_gpu : Spec.t) =
-  let r = spec.world_size in
-  if spec.m mod r <> 0 then invalid_arg "Mlp.ag_gemm: m not divisible";
-  let comm_tm = fst config.Design_space.comm_tile in
-  let compute_tm, compute_tn = config.Design_space.compute_tile in
-  let shard_rows = spec.m / r in
-  if shard_rows mod comm_tm <> 0 then
-    invalid_arg "Mlp.ag_gemm: comm tile must divide the shard";
-  let channels_per_rank = shard_rows / comm_tm in
-  let mapping =
-    Mapping.static ~extent:spec.m ~ranks:r ~channels_per_rank ~tile:comm_tm
-      ()
+let ag_gemm_graph spec =
+  Planner.graph ~name:"ag_gemm" ~rows:spec.m ~cols:spec.k ~world:spec.world_size
+    [
+      Planner.consumer ~name:"gemm" ~out:"y"
+        (Planner.Gemm { weights = "w"; n = spec.n });
+    ]
+
+(* The fixed design point: the planner's candidate with the inner loop
+   over k split in two chunks. *)
+let ag_gemm_program ?(transfer = `Pull) ~config spec ~spec_gpu =
+  let pl_transfer =
+    match transfer with `Pull -> Planner.Pull | `Push -> Planner.Push
   in
-  let comm_grid =
-    Tile.grid ~extent_m:spec.m ~extent_n:spec.k ~tile_m:comm_tm
-      ~tile_n:spec.k
-  in
-  let compute_grid =
-    Tile.grid ~extent_m:spec.m ~extent_n:spec.n ~tile_m:compute_tm
-      ~tile_n:compute_tn
-  in
-  let plans =
-    Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
-        (* --- communication ---
-           Pull mode (Figure 3b left): this rank fetches every remote
-           tile into its own [x_full] and signals its local consumers.
-           Push mode (Figure 3b right): this rank broadcasts its *own*
-           shard tiles into every rank's [x_full] and notifies all
-           remote consumers. *)
-        let pull_task tile =
-          let tid = Tile.linearize comm_grid tile in
-          let lo, hi = Mapping.shape_range mapping ~tid in
-          let stmts =
-            [
-              Primitive.Tile_pull_data
-                {
-                  tid;
-                  src_buffer = "x_shard";
-                  src_view = `Shard;
-                  col = (0, spec.k);
-                  dst = access ~buffer:"x_full" ~row:(lo, hi) ~col:(0, spec.k) ();
-                  action = None;
-                };
-              Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-            ]
-          in
-          { Program.label = Label.int1 "ag[" tid "]";
-            instrs = Block_channel.lower bc stmts }
-        in
-        let push_task tile =
-          let tid = Tile.linearize comm_grid tile in
-          let glo, ghi = Mapping.shape_range mapping ~tid in
-          let slo, shi = Mapping.src_shard_range mapping ~tid in
-          let pushes =
-            List.init r (fun dst_rank ->
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"x_shard" ~row:(slo, shi)
-                        ~col:(0, spec.k) ();
-                    dst_rank;
-                    dst =
-                      access ~buffer:"x_full" ~row:(glo, ghi)
-                        ~col:(0, spec.k) ();
-                  })
-          in
-          let stmts =
-            pushes
-            @ [ Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast } ]
-          in
-          { Program.label = Label.int1 "ag-push[" tid "]";
-            instrs = Block_channel.lower bc stmts }
-        in
-        let comm_tasks =
-          let tiles =
-            Tile.enumerate ~rank comm_grid config.Design_space.comm_order
-          in
-          match transfer with
-          | `Pull -> List.map pull_task tiles
-          | `Push ->
-            (* Only this rank's own shard tiles are pushed. *)
-            List.filter_map
-              (fun tile ->
-                let tid = Tile.linearize comm_grid tile in
-                if Mapping.rank_of mapping ~tid = rank then
-                  Some (push_task tile)
-                else None)
-              tiles
-        in
-        (* --- computation: consumer GEMM tiles --- *)
-        let compute_task tile =
-          let lo, hi = Tile.rows compute_grid tile in
-          let clo, chi = Tile.cols compute_grid tile in
-          let action memory ~rank =
-            let x = Memory.find memory ~rank ~name:"x_full" in
-            let w = Memory.find memory ~rank ~name:"w" in
-            let y = Memory.find memory ~rank ~name:"y" in
-            let block =
-              Linalg.gemm ~block:config.Design_space.micro_block
-                (Tensor.row_slice x ~lo ~hi)
-                (Tensor.col_slice w ~lo:clo ~hi:chi)
-            in
-            Tensor.set_block y ~row_lo:lo ~col_lo:clo block
-          in
-          let chunk = ceil_div spec.k k_chunks in
-          (* The data action rides on the last *non-empty* chunk: with
-             k < k_chunks the trailing chunks are empty. *)
-          let live_chunks = ceil_div spec.k chunk in
-          let k_loop =
-            List.concat
-              (List.init live_chunks (fun kc ->
-                   let klo = kc * chunk and khi = min spec.k ((kc + 1) * chunk) in
-                   if klo >= khi then []
-                   else
-                     [
-                       Primitive.Load
-                         (access ~buffer:"x_full" ~row:(lo, hi)
-                            ~col:(klo, khi) ());
-                       Primitive.Load
-                         (access ~buffer:"w" ~row:(klo, khi) ~col:(clo, chi)
-                            ());
-                       Primitive.Compute
-                         {
-                           label =
-                             Label.int3 "gemm[" tile.Tile.tid_m ","
-                               tile.Tile.tid_n "]k" kc "";
-                           cost =
-                             Instr.Gemm_tile
-                               { tm = hi - lo; tn = chi - clo; k = khi - klo };
-                           reads =
-                             [
-                               access ~buffer:"x_full" ~row:(lo, hi)
-                                 ~col:(klo, khi) ();
-                             ];
-                           writes = [];
-                           action =
-                             (if kc = live_chunks - 1 then Some action else None);
-                         };
-                     ]))
-          in
-          let stmts =
-            Primitive.Consumer_tile_wait
-              { lo; hi; buffer = "x_full"; col = (0, spec.k) }
-            :: k_loop
-            @ [
-                Primitive.Store
-                  (access ~buffer:"y" ~row:(lo, hi) ~col:(clo, chi) ());
-              ]
-          in
-          {
-            Program.label =
-              Label.int2 "gemm[" tile.Tile.tid_m "," tile.Tile.tid_n "]";
-            instrs =
-              Pipeline.hoist_loads ~stages:config.Design_space.stages
-                (Block_channel.lower bc stmts);
-          }
-        in
-        let compute_tasks =
-          List.map compute_task
-            (Tile.enumerate ~rank compute_grid
-               config.Design_space.compute_order)
-        in
-        let comm_roles =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms ->
-            [
-              {
-                Program.role_name = "allgather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = comm_tasks;
-              };
-            ]
-          | Design_space.Comm_on_dma ->
-            [
-              {
-                Program.role_name = "allgather-dma";
-                resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = comm_tasks;
-              };
-            ]
-          | Design_space.Comm_hybrid { dma_fraction; sms } ->
-            let dma_tasks, sm_tasks = split_fraction dma_fraction comm_tasks in
-            [
-              {
-                Program.role_name = "allgather-dma";
-                resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = dma_tasks;
-              };
-              {
-                Program.role_name = "allgather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = sm_tasks;
-              };
-            ]
-        in
-        let comm_sms =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms -> sms
-          | Design_space.Comm_on_dma -> 0
-          | Design_space.Comm_hybrid { sms; _ } -> sms
-        in
-        (* The compute partition takes whatever communication leaves. *)
-        let compute_sms = max 1 (spec_gpu.Spec.gpu.num_sms - comm_sms) in
-        comm_roles
-        @ [
-            {
-              Program.role_name = "gemm";
-              resource = Program.Sm_partition compute_sms;
-              lane = Tilelink_sim.Trace.Compute_sm;
-              tasks = compute_tasks;
-            };
-          ])
-  in
-  Program.create ~name:"ag_gemm" ~world_size:r
-    ~pc_channels:(Mapping.num_channels mapping)
-    ~peer_channels:1 plans
+  Planner.synthesize (ag_gemm_graph spec)
+    { Planner.pl_config = config; pl_transfer; pl_chunks = 2 }
+    ~spec_gpu
 
 (* ------------------------------------------------------------------ *)
 (* GEMM + ring ReduceScatter (Figure 4)                                *)
@@ -365,6 +142,8 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   let m_per_rank = spec.rs_m / r in
   let gemm_tm, gemm_tn = config.Design_space.compute_tile in
   let rs_tm, rs_tn = config.Design_space.comm_tile in
+  if min (min gemm_tm gemm_tn) (min rs_tm rs_tn) < 1 then
+    invalid_arg "Mlp.gemm_rs: tile dimensions must be positive";
   if m_per_rank mod gemm_tm <> 0 then
     invalid_arg "Mlp.gemm_rs: gemm tile must divide the rank shard";
   if m_per_rank mod rs_tm <> 0 || spec.rs_n mod rs_tn <> 0 then
@@ -618,14 +397,3 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   Program.create ~name:"gemm_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping)
     ~peer_channels:rs_tiles plans
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry consumers                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let profile_ag_gemm ?k_chunks ?transfer ~config ~telemetry spec ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu
-    (ag_gemm_program ?k_chunks ?transfer ~config spec ~spec_gpu)
-
-let profile_gemm_rs ~config ~telemetry spec ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu (gemm_rs_program ~config spec ~spec_gpu)

@@ -28,18 +28,24 @@ val ag_gemm_alloc : ag_gemm_spec -> seed:int -> Memory.t
 val ag_gemm_reference :
   Memory.t -> ag_gemm_spec -> rank:int -> Tilelink_tensor.Tensor.t
 
+val ag_gemm_graph : ag_gemm_spec -> Planner.graph
+(** The AllGather+GEMM operator graph: one [Gemm] consumer named
+    ["gemm"] writing ["y"] from weights ["w"], gathering ["x_shard"]
+    into ["x_full"].  Raises [Invalid_argument] when [m] does not divide
+    over the world. *)
+
 val ag_gemm_program :
-  ?k_chunks:int ->
   ?transfer:[ `Pull | `Push ] ->
   config:Design_space.config ->
   ag_gemm_spec ->
   spec_gpu:Spec.t ->
   Program.t
-(** Build the overlapped kernel for the given design-space point.
-    [`Pull] (default) fetches remote tiles and signals locally;
-    [`Push] broadcasts the rank's own tiles to every peer and notifies
-    remote consumers (Figure 3b).  Raises [Invalid_argument] when the
-    comm tile does not divide the shard. *)
+(** {!Planner.synthesize} of {!ag_gemm_graph} at [config], with the
+    inner loop over [k] in two chunks.  [`Pull] (default) fetches
+    remote tiles and signals locally; [`Push] broadcasts the rank's own
+    tiles to every peer and notifies remote consumers (Figure 3b).
+    Raises [Invalid_argument] when a tile dimension is not positive or
+    the comm tile does not divide the shard. *)
 
 (** {2 GEMM + ring ReduceScatter (Figure 4)}
 
@@ -61,25 +67,5 @@ val gemm_rs_reference :
 
 val gemm_rs_program :
   config:Design_space.config -> gemm_rs_spec -> spec_gpu:Spec.t -> Program.t
-
-(** {2 Telemetry consumers}
-
-    Build the kernel and run it on a fresh trace-enabled cluster with
-    the telemetry handle attached (see {!Profiled.run}); the returned
-    cluster carries the trace for Perfetto export. *)
-
-val profile_ag_gemm :
-  ?k_chunks:int ->
-  ?transfer:[ `Pull | `Push ] ->
-  config:Design_space.config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  ag_gemm_spec ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Runtime.result
-
-val profile_gemm_rs :
-  config:Design_space.config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  gemm_rs_spec ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Runtime.result
+(** Raises [Invalid_argument] when a tile dimension is not positive or
+    a tile does not divide the rank's shard. *)

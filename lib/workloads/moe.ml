@@ -688,15 +688,3 @@ let part2_program ?(config = default_part2_config) spec route
   Program.create ~name:"moe_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping_a + Mapping.num_channels mapping_b)
     ~peer_channels:rs_tiles plans
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry consumers                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let profile_part1 ?config ~telemetry spec route ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu
-    (part1_program ?config spec route ~spec_gpu)
-
-let profile_part2 ?config ~telemetry spec route ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu
-    (part2_program ?config spec route ~spec_gpu)

@@ -2,18 +2,6 @@ open Tilelink_core
 open Tilelink_tensor
 
 (* ------------------------------------------------------------------ *)
-(* MLP                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let mlp_graph (spec : Mlp.ag_gemm_spec) =
-  Planner.graph ~name:"planned_ag_gemm" ~rows:spec.Mlp.m ~cols:spec.Mlp.k
-    ~world:spec.Mlp.world_size
-    [
-      Planner.consumer ~name:"gemm" ~out:"y"
-        (Planner.Gemm { weights = "w"; n = spec.Mlp.n });
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Softmax                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -119,7 +107,7 @@ let build family ~m ~k ~n ~world ~seed =
   match family with
   | Fam_mlp ->
     let spec = { Mlp.m; k; n; world_size = world } in
-    (mlp_graph spec, Mlp.ag_gemm_alloc spec ~seed)
+    (Mlp.ag_gemm_graph spec, Mlp.ag_gemm_alloc spec ~seed)
   | Fam_softmax -> (softmax_graph ~m ~k ~world, softmax_alloc ~m ~k ~world ~seed)
   | Fam_moe -> (moe_graph ~m ~k ~n ~world, moe_alloc ~m ~k ~n ~world ~seed)
   | Fam_fused ->

@@ -1,21 +1,14 @@
 (** Planner-built workload variants: the operator graphs, allocators
     and references the auto-overlap planner is exercised against.
 
-    Each family mirrors (or extends) a hand-written workload so
-    planner-derived schedules can be compared — the MLP graph uses the
-    exact buffer names of {!Mlp.ag_gemm_program}, so
-    {!Mlp.ag_gemm_alloc} and {!Mlp.ag_gemm_reference} apply verbatim.
-    The fused graph is deliberately {e not} in the hand-written suite:
-    it is the "new operator graph" acceptance case. *)
+    The AllGather+GEMM graph itself is {!Mlp.ag_gemm_graph} — the one
+    declaration {!Mlp.ag_gemm_program} synthesizes at a fixed design
+    point — so {!Mlp.ag_gemm_alloc} and {!Mlp.ag_gemm_reference} apply
+    to it verbatim.  The graphs here extend it: other consumers of the
+    same gather.  The fused graph is deliberately {e not} in the
+    shipped suite: it is the "new operator graph" acceptance case. *)
 
 open Tilelink_core
-
-(** {2 MLP: AllGather + GEMM (mirrors {!Mlp})} *)
-
-val mlp_graph : Mlp.ag_gemm_spec -> Planner.graph
-(** One [Gemm] consumer writing ["y"], weights ["w"] — the same
-    buffers {!Mlp.ag_gemm_alloc} binds and
-    {!Mlp.ag_gemm_reference} checks. *)
 
 (** {2 Softmax: AllGather + row softmax}
 

@@ -235,3 +235,84 @@ let chaos_telemetry () =
        @ List.map (fun k -> "degraded " ^ k) r.Chaos.degraded
        @ render_telemetry tele)
   |> String.concat "\n"
+
+(* The AllGather+GEMM builder's output at fixed design points: every
+   Suite AG+GEMM case, the nine [Tuned.ag_gemm_candidates] in both
+   transfer directions at the @dev-check shape, and small-shape corner
+   cases (one rank, k below the chunk count, hybrid binding, deep
+   pipelines, row-major orders).  Each case renders as the MD5 of the
+   all-rank [Codegen] listing and the MD5 of the per-rank role and task
+   list (name, resource, lane, labels); test_planner.ml compares the
+   rendering with the one the hand-written builder produced. *)
+let ag_gemm_pin_cases () =
+  let suite =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"mlp_ag_gemm_" name)
+      (Suite.programs ())
+  in
+  let tuned =
+    List.concat
+      (List.mapi
+         (fun i config ->
+           List.map
+             (fun (dir, transfer) ->
+               ( Printf.sprintf "tuned%d/%s" i dir,
+                 Mlp.ag_gemm_program ~transfer ~config dev_check_spec
+                   ~spec_gpu:Calib.h800 ))
+             [ ("pull", `Pull); ("push", `Push) ])
+         (Tuned.ag_gemm_candidates ~world_size:4))
+  in
+  let small name ?(transfer = `Pull) ~world ~k ~binding ~stages ~order () =
+    let config =
+      {
+        Design_space.comm_tile = (2, 128);
+        compute_tile = (2, 3);
+        comm_order = order;
+        compute_order = order;
+        binding;
+        stages;
+        micro_block = 0;
+      }
+    in
+    ( name,
+      Mlp.ag_gemm_program ~transfer ~config
+        { Mlp.m = 4 * world; k; n = 6; world_size = world }
+        ~spec_gpu:Calib.test_machine )
+  in
+  let hybrid = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 2 } in
+  suite @ tuned
+  @ [
+      small "world1" ~world:1 ~k:4 ~binding:Design_space.Comm_on_dma ~stages:2
+        ~order:(Tile.Ring_from_self { segments = 1 }) ();
+      small "k1/hybrid/stages3" ~world:2 ~k:1 ~binding:hybrid ~stages:3
+        ~order:Tile.Row_major ();
+      small "k3/push/hybrid/stages1" ~transfer:`Push ~world:4 ~k:3
+        ~binding:hybrid ~stages:1 ~order:Tile.Row_major ();
+    ]
+
+let ag_gemm_pin () =
+  let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  List.map
+    (fun (name, program) ->
+      let ranks = List.init (Program.world_size program) Fun.id in
+      let listing =
+        List.map (fun rank -> Codegen.emit_rank program ~rank) ranks
+      in
+      let tasks =
+        List.concat_map
+          (fun rank ->
+            List.concat_map
+              (fun (role : Program.role) ->
+                Printf.sprintf "%d %s %s %s %s" rank (Program.name program)
+                  role.Program.role_name
+                  (Program.resource_to_string role.Program.resource)
+                  (Tilelink_sim.Trace.lane_to_string role.Program.lane)
+                :: List.map
+                     (fun (t : Program.task) -> t.Program.label)
+                     role.Program.tasks)
+              (Program.plans program).(rank))
+          ranks
+      in
+      Printf.sprintf "%s listing %s tasks %s" name (md5 listing) (md5 tasks))
+    (ag_gemm_pin_cases ())
+  |> String.concat "\n"

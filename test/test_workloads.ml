@@ -147,6 +147,32 @@ let test_ag_gemm_rejects_bad_tile () =
        false
      with Invalid_argument _ -> true)
 
+(* A zero tile dimension used to reach integer division in the
+   builders; both reject it as a bad argument, which [Tune] counts as a
+   skipped build rather than a crashed sweep. *)
+let non_positive_tiles =
+  [ ((0, 2), (2, 2)); ((2, 0), (2, 2)); ((2, 2), (0, 2)); ((2, 2), (2, -1)) ]
+
+let check_rejects_non_positive_tiles build base =
+  List.iter
+    (fun (comm_tile, compute_tile) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "comm %dx%d, compute %dx%d rejected" (fst comm_tile)
+           (snd comm_tile) (fst compute_tile) (snd compute_tile))
+        true
+        (match
+           build { base with Design_space.comm_tile; compute_tile }
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    non_positive_tiles
+
+let test_ag_gemm_rejects_non_positive_tiles () =
+  check_rejects_non_positive_tiles
+    (fun config ->
+      Mlp.ag_gemm_program ~config ag_spec ~spec_gpu:Calib.test_machine)
+    base_config
+
 let prop_ag_gemm_correct_random_shapes =
   QCheck.Test.make
     ~name:"ag+gemm correct across random shapes, tiles and modes" ~count:25
@@ -224,6 +250,21 @@ let check_gemm_rs config msg =
   done
 
 let test_gemm_rs_basic () = check_gemm_rs rs_config "ring rs"
+
+let test_gemm_rs_rejects_non_positive_tiles () =
+  let build config =
+    Mlp.gemm_rs_program ~config rs_spec ~spec_gpu:Calib.test_machine
+  in
+  check_rejects_non_positive_tiles build rs_config;
+  match
+    Tune.search_programs ~build
+      ~make_cluster:(fun () -> Cluster.create Calib.test_machine ~world_size:2)
+      [ { rs_config with Design_space.comm_tile = (2, 0) }; rs_config ]
+  with
+  | None -> Alcotest.fail "the feasible candidate was not evaluated"
+  | Some outcome ->
+    Alcotest.(check int) "zero tile skipped at build" 1
+      outcome.Tune.skipped_build
 
 let test_gemm_rs_hybrid () =
   check_gemm_rs
@@ -760,6 +801,8 @@ let () =
             test_ag_gemm_program_is_consistent;
           Alcotest.test_case "rejects bad tile" `Quick
             test_ag_gemm_rejects_bad_tile;
+          Alcotest.test_case "rejects non-positive tiles" `Quick
+            test_ag_gemm_rejects_non_positive_tiles;
           QCheck_alcotest.to_alcotest prop_ag_gemm_correct_random_shapes;
         ] );
       ( "gemm_rs",
@@ -770,6 +813,8 @@ let () =
             test_gemm_rs_decoupled_tiles;
           Alcotest.test_case "world 4" `Quick test_gemm_rs_larger_world;
           Alcotest.test_case "consistent" `Quick test_gemm_rs_consistent;
+          Alcotest.test_case "rejects non-positive tiles" `Quick
+            test_gemm_rs_rejects_non_positive_tiles;
         ] );
       ( "moe",
         [
