@@ -11,6 +11,10 @@ type entry = {
   mutable e_first_us : float option;
 }
 
+(* What a cached step cost prices: the simulated overlapped tile
+   program, or the serialized comm-then-compute baseline. *)
+type cost_kind = Simulated | Serialized
+
 type t = {
   machine : Spec.t;
   topology : Topology.t option;
@@ -18,8 +22,8 @@ type t = {
   head_dim : int;
   kv_capacity : int;
   mutable running : entry list;  (** newest first *)
-  sim_cache : (int * int * int, float) Hashtbl.t;
-      (** (world, batch_q, kv_q) -> overlapped step makespan µs *)
+  costs : (cost_kind * int * int * int, float) Hashtbl.t;
+      (** (kind, world, batch_q, kv_q) -> step cost µs *)
 }
 
 let tile = 8
@@ -36,7 +40,7 @@ let create ?topology ~machine ~world_size ~head_dim ~kv_capacity () =
     head_dim;
     kv_capacity;
     running = [];
-    sim_cache = Hashtbl.create 32;
+    costs = Hashtbl.create 32;
   }
 
 let world t = t.world
@@ -82,37 +86,45 @@ let spec_of t ~batch_q ~kv_q =
 
 let max_kv t = List.fold_left (fun acc e -> max acc e.e_kv) 0 t.running
 
-(* Overlapped step cost: simulate the tile program once per signature
-   (timing only — no tensor data), memoized for the serve's lifetime. *)
-let overlapped_cost t ~batch_q ~kv_q =
-  let key = (t.world, batch_q, kv_q) in
-  match Hashtbl.find_opt t.sim_cache key with
+(* Every step cost is a pure function of its kind and signature at the
+   current world, so each is computed once per serve.  The world is in
+   the key because a crash step shrinks it. *)
+let memo t kind ~batch_q ~kv_q compute =
+  let key = (kind, t.world, batch_q, kv_q) in
+  match Hashtbl.find_opt t.costs key with
   | Some c -> c
   | None ->
-    let spec = spec_of t ~batch_q ~kv_q in
-    let program = Attention.program ~config spec ~spec_gpu:t.machine in
-    let cluster =
-      Cluster.create ?topology:t.topology t.machine ~world_size:t.world
-    in
-    let r = Runtime.run cluster program in
-    Hashtbl.replace t.sim_cache key r.Runtime.makespan;
-    r.Runtime.makespan
+    let c = compute (spec_of t ~batch_q ~kv_q) in
+    Hashtbl.replace t.costs key c;
+    c
 
+(* Overlapped step cost: the makespan of the simulated tile program
+   (timing only — no tensor data). *)
+let overlapped_cost t ~batch_q ~kv_q =
+  memo t Simulated ~batch_q ~kv_q (fun spec ->
+      let program = Attention.program ~config spec ~spec_gpu:t.machine in
+      let cluster =
+        Cluster.create ?topology:t.topology t.machine ~world_size:t.world
+      in
+      (Runtime.run cluster program).Runtime.makespan)
+
+(* Serialized step cost: the ring AllGather then the compute kernel —
+   the Nonoverlap tier's charge and the crash step's fallback. *)
 let serialized_cost t ~batch_q ~kv_q =
-  Attention_baselines.torch_time t.machine (spec_of t ~batch_q ~kv_q)
+  memo t Serialized ~batch_q ~kv_q (Attention_baselines.torch_time t.machine)
 
 let est_step_us t ~tier ~extra =
   let batch_q, kv_q =
     quantize t ~batch:(batch_size t + extra) ~max_kv:(max_kv t)
   in
-  let spec = spec_of t ~batch_q ~kv_q in
   match (tier : Degrade.tier) with
   | Overlapped | Shrunk ->
     (* Ideal overlap: the longer of the two phases hides the other. *)
+    let spec = spec_of t ~batch_q ~kv_q in
     Float.max
       (Attention.flash_only_time t.machine spec ~config)
       (Attention.comm_only_time t.machine spec)
-  | Nonoverlap -> Attention_baselines.torch_time t.machine spec
+  | Nonoverlap -> serialized_cost t ~batch_q ~kv_q
 
 type crash_config = { ck_seed : int; ck_ranks : int }
 
@@ -231,5 +243,3 @@ let step ?crash t ~tier =
   let completed, still = List.partition (fun e -> e.e_remaining <= 0) t.running in
   t.running <- still;
   { outcome with o_completed = List.rev completed }
-
-let sim_cache_size t = Hashtbl.length t.sim_cache

@@ -13,7 +13,10 @@
     signatures stay few enough to memoize.  The [Nonoverlap]
     degradation tier charges the serialized comm-then-compute baseline
     ({!Tilelink_baselines.Attention_baselines.torch_time}) instead of
-    simulating.
+    the overlapped program.  Both costs live in one per-batcher table
+    keyed by (cost kind, world, quantized batch, quantized KV): each
+    signature is priced once per serve, whichever tier or caller asks
+    first.
 
     A crash step composes the chaos machinery exactly as the fault
     harness does: seeded schedule with [crash_ranks] permanent
@@ -23,9 +26,8 @@
     coordinator wedging under overlapping multi-rank crashes
     ({!Tilelink_sim.Engine.Deadlock}) — falls back to the serialized
     baseline cost: the step always completes, never hangs.  After a
-    crash step the
-    batcher's world shrinks to the survivors for the rest of the
-    serve. *)
+    crash step the batcher's world shrinks to the survivors for the
+    rest of the serve, and later steps are priced at the new world. *)
 
 type entry = {
   e_req : Trace_gen.request;
@@ -70,8 +72,11 @@ val evict : t -> Trace_gen.request -> unit
 (** Remove a running request without completing it (timeout shed). *)
 
 val est_step_us : t -> tier:Degrade.tier -> extra:int -> float
-(** Analytic (sim-free) cost estimate of the next step with [extra]
-    more sequences — the admission deadline check's input. *)
+(** Cost estimate of the next step with [extra] more sequences — the
+    admission deadline check's input.  [Overlapped] and [Shrunk] take
+    the analytic ideal-overlap bound; [Nonoverlap] reads the memoized
+    serialized baseline, the same number {!step} charges at that
+    signature. *)
 
 type crash_config = { ck_seed : int; ck_ranks : int }
 
@@ -89,6 +94,3 @@ val step : ?crash:crash_config -> t -> tier:Degrade.tier -> outcome
 (** One decode iteration for the whole batch.  Raises
     [Invalid_argument] on an empty batch.  With [crash], runs under
     the chaos schedule and shrinks the world afterwards. *)
-
-val sim_cache_size : t -> int
-(** Distinct simulated step signatures so far (introspection). *)

@@ -87,11 +87,7 @@ let journal st ev =
 
 let shed st (r : Trace_gen.request) reason =
   (match reason with
-  | Admission.Queue_full ->
-    (* An overflowing queue is saturated by definition, even if the
-       occupancy sample between drains never shows it. *)
-    st.peak_pressure <- 1.0;
-    st.shed_queue_full <- st.shed_queue_full + 1
+  | Admission.Queue_full -> st.shed_queue_full <- st.shed_queue_full + 1
   | Admission.Deadline -> st.shed_deadline <- st.shed_deadline + 1
   | Admission.Timeout -> st.shed_timeout <- st.shed_timeout + 1);
   journal st
@@ -100,7 +96,8 @@ let shed st (r : Trace_gen.request) reason =
 
 (* Arrivals due at the current clock.  A prompt that cannot fit in the
    KV budget even alone is shed immediately — it could never leave the
-   queue and would wedge the drain. *)
+   queue and would wedge the drain.  It is counted as queue_full but
+   says nothing about load, so it leaves the pressure signal alone. *)
 let ingest st =
   let rec go = function
     | r :: rest when r.Trace_gen.rq_arrival_us <= st.now ->
@@ -109,7 +106,11 @@ let ingest st =
        else
          match Admission.offer st.queue r with
          | Ok () -> ()
-         | Error reason -> shed st r reason);
+         | Error reason ->
+           (* An overflowing queue is saturated by definition, even if
+              the occupancy sample between drains never shows it. *)
+           st.peak_pressure <- 1.0;
+           shed st r reason);
       go rest
     | rest -> st.pending <- rest
   in

@@ -151,7 +151,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
           List.init r (fun step ->
               let src_rank = (rank + step) mod r in
               {
-                Program.label = Printf.sprintf "agkv[%d]" src_rank;
+                Program.label = Label.int1 "agkv[" src_rank "]";
                 instrs = Block_channel.lower bc (copy_segment src_rank);
               })
         in
@@ -217,7 +217,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
                    ~col:(0, d) ());
               Primitive.Compute
                 {
-                  label = Printf.sprintf "flash[z%d,m%d,s%d]" z mt step;
+                  label = Label.int3 "flash[z" z ",m" mt ",s" step "]";
                   cost =
                     Instr.Attention_tile
                       { tq = config.q_tile; tkv = config.kv_tile; d };
@@ -246,7 +246,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
             @ [
                 Primitive.Compute
                   {
-                    label = Printf.sprintf "finish[z%d,m%d]" z mt;
+                    label = Label.int2 "finish[z" z ",m" mt "]";
                     cost =
                       Instr.Memory_tile
                         { rows = config.q_tile; cols = d; passes = 1 };
@@ -259,7 +259,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
               ]
           in
           {
-            Program.label = Printf.sprintf "attn[z%d,m%d]" z mt;
+            Program.label = Label.int2 "attn[z" z ",m" mt "]";
             instrs = Block_channel.lower bc stmts;
           }
         in

@@ -312,6 +312,156 @@ let test_journal_events () =
   Alcotest.(check int) "one journal entry per tier change"
     r.Server.r_tier_changes tiers
 
+(* A prompt too large for the KV budget is shed on arrival, but it says
+   nothing about load: an otherwise idle server must not read it as a
+   saturated queue and drop into the Nonoverlap tier. *)
+let test_oversized_prompt_keeps_tier () =
+  let light =
+    List.init 12 (fun i ->
+        { Trace_gen.rq_id = i; rq_arrival_us = float_of_int i *. 2_000.;
+          rq_prompt = 32; rq_decode = 4 })
+  in
+  let huge =
+    { Trace_gen.rq_id = 12; rq_arrival_us = 5_000.; rq_prompt = 4_096;
+      rq_decode = 4 }
+  in
+  let telemetry = Tilelink_obs.Telemetry.create () in
+  let r = Server.run ~telemetry (config ()) (light @ [ huge ]) in
+  check_invariants "oversized" r;
+  Alcotest.(check int) "oversized prompt shed as queue_full" 1
+    r.Server.r_shed_queue_full;
+  Alcotest.(check int) "light requests all complete" 12 r.Server.r_completed;
+  Alcotest.(check int) "no tier change" 0 r.Server.r_tier_changes;
+  Alcotest.(check (float 0.)) "no time in nonoverlap" 0.
+    (List.assoc "nonoverlap" r.Server.r_tier_us);
+  let sheds =
+    List.filter
+      (fun e ->
+        match e.Tilelink_obs.Journal.event with
+        | Tilelink_obs.Journal.Request_shed { id; reason } ->
+          id = 12 && reason = "queue_full"
+        | _ -> false)
+      (Tilelink_obs.Journal.entries (Tilelink_obs.Telemetry.journal telemetry))
+  in
+  Alcotest.(check int) "shed journaled" 1 (List.length sheds)
+
+(* ------------------------------------------------------------------ *)
+(* Batcher step costs                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Batcher = Serve.Batcher
+module Attention = Tilelink_workloads.Attention
+module Attention_baselines = Tilelink_baselines.Attention_baselines
+module Runtime = Tilelink_core.Runtime
+
+let head_dim = 8
+let tile = 8
+
+(* The batcher's signature, computed independently: batch to the next
+   power of two, KV to the (world * tile) lattice. *)
+let quantized_spec ~world ~batch ~max_kv =
+  let rec pow2 p = if p >= batch then p else pow2 (2 * p) in
+  let lattice = world * tile in
+  {
+    Attention.batch_heads = pow2 1;
+    seq = max lattice ((max_kv + lattice - 1) / lattice * lattice);
+    head_dim;
+    world_size = world;
+    causal = false;
+  }
+
+let fresh_serialized spec = Attention_baselines.torch_time machine spec
+
+let fresh_overlapped spec =
+  let program =
+    Attention.program ~config:{ Attention.q_tile = tile; kv_tile = tile } spec
+      ~spec_gpu:machine
+  in
+  (Runtime.run (Cluster.create machine ~world_size:spec.Attention.world_size)
+     program)
+    .Runtime.makespan
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A batch of [batch] sequences whose longest prompt is [max_kv];
+   decodes are long enough that no step completes a request. *)
+let batcher_with ~world ~batch ~max_kv =
+  let b =
+    Batcher.create ~machine ~world_size:world ~head_dim ~kv_capacity:1_000_000 ()
+  in
+  for i = 0 to batch - 1 do
+    Batcher.admit b
+      { Trace_gen.rq_id = i; rq_arrival_us = 0.; rq_prompt = max 1 (max_kv - i);
+        rq_decode = 100 }
+  done;
+  b
+
+(* Memoized, quantized step costs are exactly the unmemoized functions
+   at the quantized signature.  The longest prompt sits at least three
+   tokens below its lattice point, so all four steps keep the signature
+   and every second ask must hit the table; a late, longer prompt then
+   moves the batch to a new signature, which must not. *)
+let qcheck_memoized_costs =
+  QCheck.Test.make ~count:12
+    ~name:"memoized step costs equal fresh unmemoized runs"
+    QCheck.(triple (int_range 2 8) (int_range 1 8) (pair (int_range 1 3) (int_range 1 64)))
+    (fun (world, batch, (slots, below)) ->
+      let lattice = world * tile in
+      let max_kv = (slots * lattice) - 3 - ((below - 1) mod (lattice - 3)) in
+      let spec = quantized_spec ~world ~batch ~max_kv in
+      let serialized = fresh_serialized spec in
+      let overlapped = fresh_overlapped spec in
+      let b = batcher_with ~world ~batch ~max_kv in
+      let est () = Batcher.est_step_us b ~tier:Degrade.Nonoverlap ~extra:0 in
+      let step tier = (Batcher.step b ~tier).Batcher.o_cost_us in
+      let e1 = est () in
+      let e2 = est () in
+      let n1 = step Degrade.Nonoverlap in
+      let o1 = step Degrade.Overlapped in
+      let o2 = step Degrade.Overlapped in
+      let n2 = step Degrade.Nonoverlap in
+      Batcher.admit b
+        { Trace_gen.rq_id = batch; rq_arrival_us = 0.;
+          rq_prompt = (slots * lattice) + 1; rq_decode = 100 };
+      let grown =
+        fresh_serialized
+          (quantized_spec ~world ~batch:(batch + 1)
+             ~max_kv:((slots * lattice) + 1))
+      in
+      let e3 = est () in
+      let n3 = step Degrade.Nonoverlap in
+      same_bits e1 serialized && same_bits e2 serialized
+      && same_bits n1 serialized && same_bits n2 serialized
+      && same_bits o1 overlapped && same_bits o2 overlapped
+      && same_bits e3 grown && same_bits n3 grown)
+
+(* The world is part of the signature: after a crash step shrinks it,
+   a batch whose quantized shape is unchanged (KV 96 on both the 32-
+   and the 24-token lattice) is priced afresh at the survivors. *)
+let test_crash_reprices_world () =
+  let b = batcher_with ~world:4 ~batch:3 ~max_kv:78 in
+  let before = quantized_spec ~world:4 ~batch:3 ~max_kv:78 in
+  let o4 = (Batcher.step b ~tier:Degrade.Overlapped).Batcher.o_cost_us in
+  let n4 = Batcher.est_step_us b ~tier:Degrade.Nonoverlap ~extra:0 in
+  Alcotest.(check bool) "world-4 overlapped cost" true
+    (same_bits o4 (fresh_overlapped before));
+  Alcotest.(check bool) "world-4 serialized cost" true
+    (same_bits n4 (fresh_serialized before));
+  ignore (Batcher.step ~crash:{ Batcher.ck_seed = 7; ck_ranks = 1 } b
+            ~tier:Degrade.Overlapped);
+  Alcotest.(check int) "world shrank" 3 (Batcher.world b);
+  let after = quantized_spec ~world:3 ~batch:3 ~max_kv:80 in
+  Alcotest.(check int) "same quantized KV" before.Attention.seq
+    after.Attention.seq;
+  let o3 = (Batcher.step b ~tier:Degrade.Overlapped).Batcher.o_cost_us in
+  let n3 = (Batcher.step b ~tier:Degrade.Nonoverlap).Batcher.o_cost_us in
+  Alcotest.(check bool) "world-3 overlapped cost" true
+    (same_bits o3 (fresh_overlapped after));
+  Alcotest.(check bool) "world-3 serialized cost" true
+    (same_bits n3 (fresh_serialized after));
+  Alcotest.(check bool) "repriced, not the world-4 entries" true
+    ((not (same_bits o3 o4)) && not (same_bits n3 n4))
+
 let () =
   Alcotest.run "serve"
     [
@@ -340,5 +490,13 @@ let () =
           Alcotest.test_case "rank crash" `Quick test_crash_run;
           Alcotest.test_case "byte determinism" `Quick test_report_determinism;
           Alcotest.test_case "journal events" `Quick test_journal_events;
+          Alcotest.test_case "oversized prompt keeps the tier" `Quick
+            test_oversized_prompt_keeps_tier;
+        ] );
+      ( "batcher",
+        [
+          QCheck_alcotest.to_alcotest qcheck_memoized_costs;
+          Alcotest.test_case "crash reprices at the new world" `Quick
+            test_crash_reprices_world;
         ] );
     ]
