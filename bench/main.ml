@@ -27,7 +27,7 @@
      fig9    MoE layers: both parts and full
      fig10   sequence-parallel attention + overlap ratio
      fig11   end-to-end LLMs, 1 node and 2 nodes
-     micro   Bechamel microbenchmarks of the compiler + simulator
+     ablation  design-space ablations (beyond the paper)
 
    Absolute times come from the calibrated machine model; the claims
    to compare against the paper are orderings and ratios (see
@@ -542,134 +542,6 @@ let ablation () =
     (Design_space.config_to_string tuned.Tuned.best_config);
   Printf.printf "  coupled point  %8.1f us (+%.1f%%)\n" coupled
     ((coupled -. tuned.Tuned.best_time) /. tuned.Tuned.best_time *. 100.0)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "Bechamel microbenchmarks (compiler + simulator hot paths)";
-  let open Bechamel in
-  let open Toolkit in
-  let small_config =
-    {
-      Design_space.comm_tile = (2, 2);
-      compute_tile = (2, 3);
-      comm_order = Tilelink_core.Tile.Row_major;
-      compute_order = Tilelink_core.Tile.Row_major;
-      binding = Design_space.Comm_on_sm 1;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  let ag_spec = { Mlp.m = 8; k = 4; n = 6; world_size = 2 } in
-  let rs_spec = { Mlp.rs_m = 8; rs_k = 3; rs_n = 4; rs_world = 2 } in
-  let moe_spec =
-    {
-      Moe.tokens = 8;
-      hidden = 4;
-      intermediate = 8;
-      experts = 3;
-      topk = 2;
-      world_size = 2;
-    }
-  in
-  let attn_spec =
-    {
-      Attention.batch_heads = 2;
-      seq = 16;
-      head_dim = 4;
-      world_size = 2;
-      causal = false;
-    }
-  in
-  let tests =
-    [
-      (* Table 2 / Figure 8 path: build + simulate the MLP kernels. *)
-      Test.make ~name:"table2/fig8: ag_gemm build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Mlp.ag_gemm_program ~config:small_config ag_spec
-                  ~spec_gpu:Calib.test_machine)));
-      Test.make ~name:"table2/fig8: gemm_rs build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Mlp.gemm_rs_program
-                  ~config:{ small_config with Design_space.compute_tile = (2, 2) }
-                  rs_spec ~spec_gpu:Calib.test_machine)));
-      (* Figure 9 path: dynamic-mapping MoE kernels. *)
-      Test.make ~name:"fig9: moe part1 build+simulate"
-        (Staged.stage
-           (let route = Moe.routing moe_spec ~seed:3 in
-            fun () ->
-              run_program
-                (Moe.part1_program moe_spec route
-                   ~spec_gpu:Calib.test_machine
-                   ~config:
-                     {
-                       Moe.comm_tile_rows = 2;
-                       group_tile_rows = 2;
-                       comm_binding = Design_space.Comm_on_sm 1;
-                     })));
-      Test.make ~name:"fig9: moe part2 build+simulate"
-        (Staged.stage
-           (let route = Moe.routing moe_spec ~seed:3 in
-            fun () ->
-              run_program
-                (Moe.part2_program moe_spec route
-                   ~spec_gpu:Calib.test_machine
-                   ~config:
-                     {
-                       Moe.gg_tile_rows = 2;
-                       reduce_tile_rows = 2;
-                       rs_tile_rows = 2;
-                       reduce_sms = 1;
-                       rs_sms = 1;
-                     })));
-      (* Figure 10 path: host-primitive attention kernel. *)
-      Test.make ~name:"fig10: attention build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Attention.program
-                  ~config:{ Attention.q_tile = 4; kv_tile = 4 }
-                  attn_spec ~spec_gpu:Calib.test_machine)));
-      (* Figure 11 path: analytic baseline assembly. *)
-      Test.make ~name:"fig11: torch layer analytic time"
-        (Staged.stage (fun () ->
-             Torch_model.torch_layer_time spec (List.hd Model.models)
-               ~world_size:world));
-      (* Backend passes in isolation. *)
-      Test.make ~name:"backend: lower + pipeline + verify"
-        (Staged.stage (fun () ->
-             let program =
-               Mlp.ag_gemm_program ~config:small_config ag_spec
-                 ~spec_gpu:Calib.test_machine
-             in
-             match Tilelink_core.Consistency.verify_program program with
-             | Ok () -> ()
-             | Error _ -> failwith "verify"));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"tilelink" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ estimate ] ->
-        Printf.printf "  %-45s %12.1f ns/run\n" name estimate
-      | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 (* --json: machine-readable BENCH_<suite>.json artifacts               *)
@@ -1858,7 +1730,6 @@ let artifacts =
     ("fig10", fig10);
     ("fig11", fig11);
     ("ablation", ablation);
-    ("micro", micro);
   ]
 
 let compare_paths : (string * string) option ref = ref None

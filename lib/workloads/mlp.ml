@@ -12,7 +12,8 @@
    - [gemm_rs_program]: GEMM producing a partial [M, N] overlapped with
      a ring ReduceScatter consumer exactly as in Figure 4 — per-tile
      producer/consumer signals between GEMM and the reducer,
-     peer-to-peer signals between ranks along the ring.
+     peer-to-peer signals between ranks along the ring.  The consumer
+     is [Ring_rs.tasks], shared with MoE part 2.
 
    Buffer layout conventions are documented on each builder; data
    actions implement real tensor semantics so the same programs verify
@@ -142,12 +143,10 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   let m_per_rank = spec.rs_m / r in
   let gemm_tm, gemm_tn = config.Design_space.compute_tile in
   let rs_tm, rs_tn = config.Design_space.comm_tile in
-  if min (min gemm_tm gemm_tn) (min rs_tm rs_tn) < 1 then
+  if gemm_tm < 1 || gemm_tn < 1 then
     invalid_arg "Mlp.gemm_rs: tile dimensions must be positive";
   if m_per_rank mod gemm_tm <> 0 then
     invalid_arg "Mlp.gemm_rs: gemm tile must divide the rank shard";
-  if m_per_rank mod rs_tm <> 0 || spec.rs_n mod rs_tn <> 0 then
-    invalid_arg "Mlp.gemm_rs: rs tile must divide the shard";
   let gemm_grid =
     Tile.grid ~extent_m:spec.rs_m ~extent_n:spec.rs_n ~tile_m:gemm_tm
       ~tile_n:gemm_tn
@@ -165,12 +164,9 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
     Tile.grid ~extent_m:m_per_rank ~extent_n:spec.rs_n ~tile_m:rs_tm
       ~tile_n:rs_tn
   in
-  let rs_tiles = Tile.tile_count rs_grid in
   let plans =
     Array.init r (fun rank ->
         let bc = Block_channel.create ~rank ~world_size:r mapping in
-        let to_rank = (rank - 1 + r) mod r in
-        let from_rank = (rank + 1) mod r in
         (* --- producer GEMM --- *)
         let gemm_task tile =
           let lo, hi = Tile.rows gemm_grid tile in
@@ -219,132 +215,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
             (Tile.enumerate ~rank gemm_grid config.Design_space.compute_order)
         in
         (* --- consumer ring ReduceScatter (Figure 4 lines 11-26) --- *)
-        let reduce_stmts ~stage tile =
-          let seg = (rank + stage + 1) mod r in
-          let llo, lhi = Tile.rows rs_grid tile in
-          let clo, chi = Tile.cols rs_grid tile in
-          let glo = (seg * m_per_rank) + llo and ghi = (seg * m_per_rank) + lhi in
-          let tile_key = Tile.linearize rs_grid tile in
-          let last = stage = r - 1 in
-          let action memory ~rank =
-            let g = Memory.find memory ~rank ~name:"gemm_out" in
-            let data =
-              Tensor.block g ~row_lo:glo ~row_hi:ghi ~col_lo:clo ~col_hi:chi
-            in
-            let data =
-              if stage = 0 then data
-              else
-                Tensor.add data
-                  (Tensor.block
-                     (Memory.find memory ~rank ~name:"rs_buffer")
-                     ~row_lo:glo ~row_hi:ghi ~col_lo:clo ~col_hi:chi)
-            in
-            if last then
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"out")
-                ~row_lo:llo ~col_lo:clo data
-            else
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"rs_send")
-                ~row_lo:glo ~col_lo:clo data
-          in
-          let wait_peer =
-            if stage = 0 then []
-            else
-              [
-                Primitive.Peer_tile_wait
-                  {
-                    tile_key;
-                    src = from_rank;
-                    threshold = stage;
-                    guards =
-                      [
-                        access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                          ~col:(clo, chi) ();
-                      ];
-                  };
-                Primitive.Load
-                  (access ~buffer:"rs_buffer" ~row:(glo, ghi) ~col:(clo, chi)
-                     ());
-              ]
-          in
-          let tail =
-            if last then
-              [
-                Primitive.Store
-                  (access ~buffer:"out" ~row:(llo, lhi) ~col:(clo, chi) ());
-              ]
-            else
-              [
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"rs_send" ~row:(glo, ghi) ~col:(clo, chi)
-                        ();
-                    dst_rank = to_rank;
-                    dst =
-                      access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                        ~col:(clo, chi) ();
-                  };
-                Primitive.Peer_tile_notify
-                  {
-                    tile_key;
-                    dst = to_rank;
-                    amount = 1;
-                    releases =
-                      [
-                        access ~rank:to_rank ~buffer:"rs_buffer"
-                          ~row:(glo, ghi) ~col:(clo, chi) ();
-                      ];
-                  };
-              ]
-          in
-          [
-            Primitive.Consumer_tile_wait
-              { lo = glo; hi = ghi; buffer = "gemm_out"; col = (clo, chi) };
-            Primitive.Load
-              (access ~buffer:"gemm_out" ~row:(glo, ghi) ~col:(clo, chi) ());
-          ]
-          @ wait_peer
-          @ [
-              Primitive.Compute
-                {
-                  label = Label.int2 "reduce[s" stage "," tile_key "]";
-                  cost =
-                    Instr.Memory_tile
-                      {
-                        rows = lhi - llo;
-                        cols = chi - clo;
-                        passes = (if stage = 0 then 2 else 3);
-                      };
-                  reads =
-                    [
-                      access ~buffer:"gemm_out" ~row:(glo, ghi) ~col:(clo, chi)
-                        ();
-                    ];
-                  writes =
-                    [
-                      access
-                        ~buffer:(if last then "out" else "rs_send")
-                        ~row:(if last then (llo, lhi) else (glo, ghi))
-                        ~col:(clo, chi) ();
-                    ];
-                  action = Some action;
-                };
-            ]
-          @ tail
-        in
-        let rs_task ~stage tile =
-          {
-            Program.label =
-              Label.int2 "rs[s" stage "," (Tile.linearize rs_grid tile) "]";
-            instrs = Block_channel.lower bc (reduce_stmts ~stage tile);
-          }
-        in
-        let stage_tasks stage =
-          List.map (rs_task ~stage) (Tile.enumerate ~rank rs_grid Tile.Row_major)
-        in
-        let rs_tasks = List.concat (List.init r stage_tasks) in
+        let rs_tasks = Ring_rs.tasks bc ~src:"gemm_out" rs_grid in
         (* Resource binding for the RS consumer. *)
         let comm_roles, comm_sms =
           match config.Design_space.binding with
@@ -396,4 +267,4 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   in
   Program.create ~name:"gemm_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping)
-    ~peer_channels:rs_tiles plans
+    ~peer_channels:(Tile.tile_count rs_grid) plans

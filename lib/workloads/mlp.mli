@@ -67,5 +67,8 @@ val gemm_rs_reference :
 
 val gemm_rs_program :
   config:Design_space.config -> gemm_rs_spec -> spec_gpu:Spec.t -> Program.t
-(** Raises [Invalid_argument] when a tile dimension is not positive or
+(** The GEMM producer (compute tile, [compute_order]) feeding
+    {!Tilelink_core.Ring_rs.tasks} over ["gemm_out"] (comm tile), bound
+    as role ["ring-rs-sm"], ["ring-rs-dma"] or ["ring-rs-hybrid"].
+    Raises [Invalid_argument] when a tile dimension is not positive or
     a tile does not divide the rank's shard. *)

@@ -12,7 +12,8 @@
      GroupGEMM tiles (permuted row space) -> Scatter+TopkReduce tiles
      (token row space, dynamic mapping from tokens to permuted rows) ->
      ring ReduceScatter (peer signals), demonstrating the extended
-     chains §7.2 describes.
+     chains §7.2 describes.  The ring stage is [Ring_rs.tasks], the
+     same Figure 4 consumer GEMM+RS uses, over "red_out".
 
    Expert layout: per-rank weights are stored flattened —
    "w1" : [E*H, I/R] (expert e in rows [e*H, (e+1)*H)) and
@@ -35,6 +36,15 @@ let access = Instr.access
 
 let i_per_rank spec = spec.intermediate / spec.world_size
 let permuted_rows spec = spec.tokens * spec.topk
+
+(* Checked before any tile arithmetic, so a bad shape or tile is an
+   [Invalid_argument] (a skipped build for [Tune]), never a
+   [Division_by_zero] or a silently truncated expert width. *)
+let check_build ~what spec tile_rows =
+  if spec.intermediate mod spec.world_size <> 0 then
+    invalid_arg (what ^ ": intermediate must divide over the world");
+  if List.exists (fun rows -> rows < 1) tile_rows then
+    invalid_arg (what ^ ": tile rows must be positive")
 
 (* Deterministic routing shared by every rank (same seed, same gate). *)
 let routing spec ~seed =
@@ -123,6 +133,8 @@ let default_part1_config =
 
 let part1_program ?(config = default_part1_config) spec route
     ~(spec_gpu : Spec.t) =
+  check_build ~what:"Moe.part1" spec
+    [ config.comm_tile_rows; config.group_tile_rows ];
   let r = spec.world_size in
   let ipr = i_per_rank spec in
   let shard_rows = spec.tokens / r in
@@ -360,12 +372,12 @@ let default_part2_config =
 
 let part2_program ?(config = default_part2_config) spec route
     ~(spec_gpu : Spec.t) =
+  check_build ~what:"Moe.part2" spec
+    [ config.gg_tile_rows; config.reduce_tile_rows; config.rs_tile_rows ];
   let r = spec.world_size in
   let ipr = i_per_rank spec in
   let m = spec.tokens in
   let m_per_rank = m / r in
-  if m_per_rank mod config.rs_tile_rows <> 0 then
-    invalid_arg "Moe.part2: rs tile must divide the shard";
   if m mod config.reduce_tile_rows <> 0 then
     invalid_arg "Moe.part2: reduce tile must divide the token count";
   let perm = Routing.permutation route in
@@ -408,7 +420,6 @@ let part2_program ?(config = default_part2_config) spec route
     Tile.grid ~extent_m:m_per_rank ~extent_n:spec.hidden
       ~tile_m:config.rs_tile_rows ~tile_n:spec.hidden
   in
-  let rs_tiles = Tile.tile_count rs_grid in
   let plans =
     Array.init r (fun rank ->
         let bc_a = Block_channel.create ~rank ~world_size:r mapping_a in
@@ -535,134 +546,7 @@ let part2_program ?(config = default_part2_config) spec route
         in
         let reduce_tasks = List.init reduce_tiles reduce_task in
         (* --- role C: ring ReduceScatter over red_out (Figure 4) --- *)
-        let to_rank = (rank - 1 + r) mod r in
-        let from_rank = (rank + 1) mod r in
-        let rs_stmts ~stage tile =
-          let seg = (rank + stage + 1) mod r in
-          let llo, lhi = Tile.rows rs_grid tile in
-          let glo = (seg * m_per_rank) + llo and ghi = (seg * m_per_rank) + lhi in
-          let tile_key = Tile.linearize rs_grid tile in
-          let last = stage = r - 1 in
-          let action memory ~rank =
-            let red = Memory.find memory ~rank ~name:"red_out" in
-            let data =
-              Tensor.block red ~row_lo:glo ~row_hi:ghi ~col_lo:0
-                ~col_hi:spec.hidden
-            in
-            let data =
-              if stage = 0 then data
-              else
-                Tensor.add data
-                  (Tensor.block
-                     (Memory.find memory ~rank ~name:"rs_buffer")
-                     ~row_lo:glo ~row_hi:ghi ~col_lo:0 ~col_hi:spec.hidden)
-            in
-            if last then
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"out")
-                ~row_lo:llo ~col_lo:0 data
-            else
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"rs_send")
-                ~row_lo:glo ~col_lo:0 data
-          in
-          let wait_peer =
-            if stage = 0 then []
-            else
-              [
-                Primitive.Peer_tile_wait
-                  {
-                    tile_key;
-                    src = from_rank;
-                    threshold = stage;
-                    guards =
-                      [
-                        access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                          ~col:(0, spec.hidden) ();
-                      ];
-                  };
-              ]
-          in
-          let tail =
-            if last then
-              [
-                Primitive.Store
-                  (access ~buffer:"out" ~row:(llo, lhi) ~col:(0, spec.hidden) ());
-              ]
-            else
-              [
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"rs_send" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                    dst_rank = to_rank;
-                    dst =
-                      access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                  };
-                Primitive.Peer_tile_notify
-                  {
-                    tile_key;
-                    dst = to_rank;
-                    amount = 1;
-                    releases =
-                      [
-                        access ~rank:to_rank ~buffer:"rs_buffer"
-                          ~row:(glo, ghi) ~col:(0, spec.hidden) ();
-                      ];
-                  };
-              ]
-          in
-          [
-            Primitive.Consumer_tile_wait
-              { lo = glo; hi = ghi; buffer = "red_out"; col = (0, spec.hidden) };
-            Primitive.Load
-              (access ~buffer:"red_out" ~row:(glo, ghi) ~col:(0, spec.hidden)
-                 ());
-          ]
-          @ wait_peer
-          @ [
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "rs-red[s%d,%d]" stage tile_key;
-                  cost =
-                    Instr.Memory_tile
-                      {
-                        rows = lhi - llo;
-                        cols = spec.hidden;
-                        passes = (if stage = 0 then 2 else 3);
-                      };
-                  reads =
-                    [
-                      access ~buffer:"red_out" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  writes =
-                    [
-                      access
-                        ~buffer:(if last then "out" else "rs_send")
-                        ~row:(if last then (llo, lhi) else (glo, ghi))
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  action = Some action;
-                };
-            ]
-          @ tail
-        in
-        let rs_task ~stage tile =
-          {
-            Program.label =
-              Printf.sprintf "rs[s%d,%d]" stage (Tile.linearize rs_grid tile);
-            instrs = Block_channel.lower bc_b (rs_stmts ~stage tile);
-          }
-        in
-        let rs_tasks =
-          List.concat
-            (List.init r (fun stage ->
-                 List.map (rs_task ~stage)
-                   (Tile.enumerate ~rank rs_grid Tile.Row_major)))
-        in
+        let rs_tasks = Ring_rs.tasks bc_b ~src:"red_out" rs_grid in
         let gg_sms = spec_gpu.Spec.gpu.num_sms in
         [
           {
@@ -687,4 +571,4 @@ let part2_program ?(config = default_part2_config) spec route
   in
   Program.create ~name:"moe_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping_a + Mapping.num_channels mapping_b)
-    ~peer_channels:rs_tiles plans
+    ~peer_channels:(Tile.tile_count rs_grid) plans

@@ -1,7 +1,11 @@
 (** Tensor-parallel MoE kernels with dynamic tile-centric mapping
     (Figure 5 of the paper): AG + Gather + GroupGEMM, and the
     three-stage GroupGEMM + Scatter + TopkReduce + ring ReduceScatter
-    chain. *)
+    chain, whose ring stage is {!Tilelink_core.Ring_rs.tasks} over
+    ["red_out"].
+
+    Both builders raise [Invalid_argument] when [intermediate] does not
+    divide over the world or a tile row count is not positive. *)
 
 open Tilelink_core
 open Tilelink_tensor

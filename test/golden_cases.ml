@@ -46,6 +46,8 @@ let small_program () =
   Mlp.ag_gemm_program ~config:small_config small_mlp
     ~spec_gpu:Calib.test_machine
 
+let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
 (* Lines past the first [shown] are summarised by their count and MD5,
    so long renderings stay byte-exact without being spelled out. *)
 let summarise ?(shown = 2) lines =
@@ -55,8 +57,7 @@ let summarise ?(shown = 2) lines =
   in
   take shown lines
   @ [
-      Printf.sprintf "(%d lines, md5 %s)" (List.length lines)
-        (Digest.to_hex (Digest.string (String.concat "\n" lines)));
+      Printf.sprintf "(%d lines, md5 %s)" (List.length lines) (md5 lines);
     ]
 
 let report_lines (report : Analyzer.report) =
@@ -236,20 +237,55 @@ let chaos_telemetry () =
        @ render_telemetry tele)
   |> String.concat "\n"
 
-(* The AllGather+GEMM builder's output at fixed design points: every
-   Suite AG+GEMM case, the nine [Tuned.ag_gemm_candidates] in both
-   transfer directions at the @dev-check shape, and small-shape corner
-   cases (one rank, k below the chunk count, hybrid binding, deep
-   pipelines, row-major orders).  Each case renders as the MD5 of the
-   all-rank [Codegen] listing and the MD5 of the per-rank role and task
-   list (name, resource, lane, labels); test_planner.ml compares the
-   rendering with the one the hand-written builder produced. *)
-let ag_gemm_pin_cases () =
-  let suite =
-    List.filter
-      (fun (name, _) -> String.starts_with ~prefix:"mlp_ag_gemm_" name)
-      (Suite.programs ())
+(* Builder outputs pinned at fixed design points.  A case renders as
+   the MD5 of the all-rank [Codegen] listing and the MD5 of the per-rank
+   role and task list (name, resource, lane, labels), or, for builders
+   whose listing legitimately changes, the task MD5 and the simulated
+   makespan.  The test files compare each rendering with the one the
+   replaced hand-written builder produced. *)
+let task_list program =
+  List.concat_map
+    (fun rank ->
+      List.concat_map
+        (fun (role : Program.role) ->
+          Printf.sprintf "%d %s %s %s %s" rank (Program.name program)
+            role.Program.role_name
+            (Program.resource_to_string role.Program.resource)
+            (Tilelink_sim.Trace.lane_to_string role.Program.lane)
+          :: List.map (fun (t : Program.task) -> t.Program.label)
+               role.Program.tasks)
+        (Program.plans program).(rank))
+    (List.init (Program.world_size program) Fun.id)
+
+let listing_and_tasks program =
+  let listing =
+    List.init (Program.world_size program) (fun rank ->
+        Codegen.emit_rank program ~rank)
   in
+  Printf.sprintf "listing %s tasks %s" (md5 listing) (md5 (task_list program))
+
+let tasks_and_makespan program =
+  let cluster =
+    Cluster.create Calib.test_machine ~world_size:(Program.world_size program)
+  in
+  Printf.sprintf "tasks %s makespan %.17g" (md5 (task_list program))
+    (Runtime.run cluster program).Runtime.makespan
+
+let pin render cases =
+  List.map (fun (name, program) -> name ^ " " ^ render program) cases
+  |> String.concat "\n"
+
+let suite_cases prefix =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix name)
+    (Suite.programs ())
+
+(* AllGather+GEMM: every Suite case, the nine
+   [Tuned.ag_gemm_candidates] in both transfer directions at the
+   @dev-check shape, and small-shape corner cases (one rank, k below
+   the chunk count, hybrid binding, deep pipelines, row-major
+   orders). *)
+let ag_gemm_pin_cases () =
   let tuned =
     List.concat
       (List.mapi
@@ -280,7 +316,7 @@ let ag_gemm_pin_cases () =
         ~spec_gpu:Calib.test_machine )
   in
   let hybrid = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 2 } in
-  suite @ tuned
+  suite_cases "mlp_ag_gemm_" @ tuned
   @ [
       small "world1" ~world:1 ~k:4 ~binding:Design_space.Comm_on_dma ~stages:2
         ~order:(Tile.Ring_from_self { segments = 1 }) ();
@@ -290,29 +326,56 @@ let ag_gemm_pin_cases () =
         ~binding:hybrid ~stages:1 ~order:Tile.Row_major ();
     ]
 
-let ag_gemm_pin () =
-  let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
-  List.map
-    (fun (name, program) ->
-      let ranks = List.init (Program.world_size program) Fun.id in
-      let listing =
-        List.map (fun rank -> Codegen.emit_rank program ~rank) ranks
-      in
-      let tasks =
-        List.concat_map
-          (fun rank ->
-            List.concat_map
-              (fun (role : Program.role) ->
-                Printf.sprintf "%d %s %s %s %s" rank (Program.name program)
-                  role.Program.role_name
-                  (Program.resource_to_string role.Program.resource)
-                  (Tilelink_sim.Trace.lane_to_string role.Program.lane)
-                :: List.map
-                     (fun (t : Program.task) -> t.Program.label)
-                     role.Program.tasks)
-              (Program.plans program).(rank))
-          ranks
-      in
-      Printf.sprintf "%s listing %s tasks %s" name (md5 listing) (md5 tasks))
-    (ag_gemm_pin_cases ())
-  |> String.concat "\n"
+let ag_gemm_pin () = pin listing_and_tasks (ag_gemm_pin_cases ())
+
+(* GEMM+ring ReduceScatter: every Suite case, the eight
+   [Tuned.gemm_rs_candidates] at MLP-1 (S=8192, H=4096, I=11008 over 8
+   ranks) on H800-sim, and small SM, DMA and hybrid cases with
+   decoupled GEMM and RS tiles. *)
+let gemm_rs_pin_cases () =
+  let mlp1 = { Mlp.rs_m = 8192; rs_k = 11008 / 8; rs_n = 4096; rs_world = 8 } in
+  let tuned =
+    List.mapi
+      (fun i config ->
+        ( Printf.sprintf "tuned%d" i,
+          Mlp.gemm_rs_program ~config mlp1 ~spec_gpu:Calib.h800 ))
+      (Tuned.gemm_rs_candidates ~world_size:8)
+  in
+  let small name ~world ~comm_tile ~compute_tile ~binding ~compute_order =
+    let config =
+      {
+        Design_space.comm_tile;
+        compute_tile;
+        comm_order = Tile.Row_major;
+        compute_order;
+        binding;
+        stages = 1;
+        micro_block = 0;
+      }
+    in
+    ( name,
+      Mlp.gemm_rs_program ~config
+        { Mlp.rs_m = 8 * world; rs_k = 3; rs_n = 4; rs_world = world }
+        ~spec_gpu:Calib.test_machine )
+  in
+  suite_cases "mlp_gemm_rs" @ tuned
+  @ [
+      small "sm/w2" ~world:2 ~comm_tile:(2, 2) ~compute_tile:(2, 2)
+        ~binding:(Design_space.Comm_on_sm 1) ~compute_order:Tile.Row_major;
+      small "dma/w4" ~world:4 ~comm_tile:(4, 4) ~compute_tile:(2, 2)
+        ~binding:Design_space.Comm_on_dma
+        ~compute_order:(Tile.Ring_prev_first { segments = 4 });
+      small "hybrid/w8" ~world:8 ~comm_tile:(2, 4) ~compute_tile:(4, 2)
+        ~binding:(Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 2 })
+        ~compute_order:Tile.Row_major;
+      small "hybrid/w2/ring" ~world:2 ~comm_tile:(8, 2) ~compute_tile:(8, 4)
+        ~binding:(Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 1 })
+        ~compute_order:(Tile.Ring_prev_first { segments = 2 });
+    ]
+
+let gemm_rs_pin () = pin listing_and_tasks (gemm_rs_pin_cases ())
+
+(* MoE part 2: the Suite cases.  Its listing gains the ring receive
+   buffer's staging load, so the task list and the makespan are
+   pinned, not the listing. *)
+let moe_part2_pin () = pin tasks_and_makespan (suite_cases "moe_part2")

@@ -217,7 +217,11 @@ let golden_stall =
 (* The two ring_attention lines were recorded after its protocol
    gained the slot-release and step-order signals that make it
    race-free on the parallel backend (more signals, so more spans and
-   journal events); every other line predates slots. *)
+   journal events).  The two moe_part2 lines were re-recorded when its
+   ring stage became the shared [Ring_rs] consumer: they are the
+   earlier renderings with the compute label "rs-red[" replaced by
+   "reduce[", so the label is the only change.  Every other line
+   predates slots. *)
 let golden_telemetry =
   {golden|mlp_ag_gemm_pull/w2/t2 (275 lines, md5 d679e8cce3a074d2e7d449c33705fd8d)
 mlp_ag_gemm_push/w2/t2 (275 lines, md5 f6759493b54800e7e6cc1b1b85586077)
@@ -234,9 +238,9 @@ mlp_ag_gemm_push/w8/t4 (3663 lines, md5 0cbf92df1a97b12a2c52d9be31a7ef05)
 mlp_gemm_rs/w2 (172 lines, md5 506b9323eccafc817d022b40d6f5052e)
 mlp_gemm_rs/w4 (716 lines, md5 f047c8df83624e413f4a345addcba558)
 moe_part1/w2 (122 lines, md5 0bc1f1626fdccfc311cae0fd3e955f02)
-moe_part2/w2 (199 lines, md5 b4f9a26fd20b9170cae68d0205fa1d95)
+moe_part2/w2 (199 lines, md5 ca2701ac46963b45733d3bf3fe6a11a2)
 moe_part1/w4 (442 lines, md5 f9125865e62d089ca5b5c1cce017e073)
-moe_part2/w4 (787 lines, md5 1e3db3f1c9b756bc8792a561224660ca)
+moe_part2/w4 (787 lines, md5 9e7d97e47d2ac9cb70799119765411f0)
 attention/w2 (153 lines, md5 e8c5e0a0981cf0d586f922ee509c0f5a)
 ring_attention/w2 (155 lines, md5 d08d7fae6eaf55baf9e165b46aedc219)
 attention/w4 (533 lines, md5 83fb854c79ab4047abe0172f1ca70d3a)

@@ -309,6 +309,30 @@ let test_gemm_rs_consistent () =
   | Error v ->
     Alcotest.failf "consistency violation: %a" Consistency.pp_violation v)
 
+(* [Golden_cases.gemm_rs_pin] as rendered when GEMM+RS wrote its ring
+   ReduceScatter consumer out by hand: building it from [Ring_rs] must
+   emit the same listings, roles and task labels. *)
+let golden_gemm_rs_pin =
+  {golden|mlp_gemm_rs/w2 listing 2685d17ab8ae279f490dd2d42280f7ff tasks 77ccea0ef022d18f54794bfbe7105aa4
+mlp_gemm_rs/w4 listing 946b30067f142c5feb11b5be0a039aff tasks dee34509ad2814c485ff2eaf2bad4a75
+tuned0 listing 3da2f0dd66f26cfeccf1214b76d8a315 tasks 7a7b66988be651e705e4bd7e8d89ddbc
+tuned1 listing 908b73789fc6a5d4254e556248b77d68 tasks ba9ce96e76f1b1f9ac4ed6bf531d887e
+tuned2 listing 6a57d8672ef0add96a3b4e0fdee85cb7 tasks 486493571252a2c6d3c46bff4c984dec
+tuned3 listing 647839c11a6a722426b8f91b619ce6c9 tasks 73f4474b200be27418452f89276554bc
+tuned4 listing 092c6172dee6ace5f7d9ba6bed6278e5 tasks 6bf64e77fd56aef5f6392a01dab1b685
+tuned5 listing 46e93df2d9112d27c38a41d3c71da016 tasks d1530815a84aa69f9e8bef1697ebe964
+tuned6 listing 203c139eb2bae699936f8f7e4f5bfddf tasks 51d61395a93dae774177f8ae61dbc827
+tuned7 listing 4f296803eca1f0071911f99e70175439 tasks ed21827153b0dcae1c209baa20620922
+sm/w2 listing ee1b169f3b265763b486b1a94e7bc80d tasks 09f207cc27cea4916de5bfedf4720a4e
+dma/w4 listing 9c25fafb9fdbe48c652e5d63e9108cfe tasks 2cee67fe9ce6a9c5eadad4784b81e9cf
+hybrid/w8 listing fa0cdfa90b74022fdefefe0af8830299 tasks 2ff4931ffa64cca1462079aaa9cef7a1
+hybrid/w2/ring listing d57ca530b69893ba6a1a63a4e01db193 tasks f3d7c972372b0df7536fc8268edac993|golden}
+
+let test_gemm_rs_pinned () =
+  Alcotest.(check string)
+    "listings and labels match the hand-written builder" golden_gemm_rs_pin
+    (Golden_cases.gemm_rs_pin ())
+
 (* ------------------------------------------------------------------ *)
 (* MoE: dynamic mapping                                                *)
 (* ------------------------------------------------------------------ *)
@@ -428,6 +452,82 @@ let test_moe_programs_consistent () =
       Moe.part2_program ~config:moe_part2_config moe_spec route
         ~spec_gpu:Calib.test_machine;
     ]
+
+(* [Golden_cases.moe_part2_pin] as rendered when part 2 wrote its ring
+   stage out by hand: the shared [Ring_rs] stage adds a staging load of
+   the receive buffer to the listing but leaves the tasks and the
+   simulated makespan unchanged. *)
+let golden_moe_part2_pin =
+  {golden|moe_part2/w2 tasks 54411426a25da7508009e1a11b530be7 makespan 12.926618751480198
+moe_part2/w4 tasks 0b5ce0104276fed4cdc94766541fc448 makespan 20.014464063610138|golden}
+
+let test_moe_part2_pinned () =
+  Alcotest.(check string)
+    "task lists and makespans match the hand-written ring stage"
+    golden_moe_part2_pin
+    (Golden_cases.moe_part2_pin ())
+
+let rejects msg build =
+  Alcotest.(check bool) msg true
+    (match build () with _ -> false | exception Invalid_argument _ -> true)
+
+(* Zero or negative tile rows used to reach integer division in both
+   builders; both reject them as bad arguments, which [Tune] counts as a
+   skipped build rather than a crashed sweep. *)
+let test_moe_rejects_non_positive_tiles () =
+  let route = Moe.routing moe_spec ~seed:5 in
+  let part1 ~comm ~group () =
+    Moe.part1_program moe_spec route ~spec_gpu:Calib.test_machine
+      ~config:
+        {
+          Moe.comm_tile_rows = comm;
+          group_tile_rows = group;
+          comm_binding = Design_space.Comm_on_sm 1;
+        }
+  in
+  let part2 config =
+    Moe.part2_program ~config moe_spec route ~spec_gpu:Calib.test_machine
+  in
+  rejects "part1 comm tile 0" (part1 ~comm:0 ~group:2);
+  rejects "part1 group tile 0" (part1 ~comm:2 ~group:0);
+  rejects "part1 group tile -1" (part1 ~comm:2 ~group:(-1));
+  List.iter
+    (fun (msg, config) -> rejects msg (fun () -> part2 config))
+    [
+      ("part2 gg tile 0", { moe_part2_config with Moe.gg_tile_rows = 0 });
+      ("part2 reduce tile 0", { moe_part2_config with Moe.reduce_tile_rows = 0 });
+      ("part2 rs tile 0", { moe_part2_config with Moe.rs_tile_rows = 0 });
+      ("part2 rs tile -2", { moe_part2_config with Moe.rs_tile_rows = -2 });
+    ];
+  let build (config : Design_space.config) =
+    part2 { moe_part2_config with Moe.rs_tile_rows = fst config.comm_tile }
+  in
+  match
+    Tune.search_programs ~build
+      ~make_cluster:(fun () -> Cluster.create Calib.test_machine ~world_size:2)
+      [ { rs_config with Design_space.comm_tile = (0, 2) }; rs_config ]
+  with
+  | None -> Alcotest.fail "the feasible candidate was not evaluated"
+  | Some outcome ->
+    Alcotest.(check int) "zero tile skipped at build" 1
+      outcome.Tune.skipped_build
+
+(* [intermediate] is split evenly over the ranks; a remainder used to
+   be dropped silently (down to zero-width expert GEMMs). *)
+let test_moe_rejects_indivisible_intermediate () =
+  let spec = { moe_spec with Moe.intermediate = 7 } in
+  let route = Moe.routing spec ~seed:5 in
+  rejects "part1" (fun () ->
+      Moe.part1_program spec route ~spec_gpu:Calib.test_machine
+        ~config:
+          {
+            Moe.comm_tile_rows = 2;
+            group_tile_rows = 2;
+            comm_binding = Design_space.Comm_on_sm 1;
+          });
+  rejects "part2" (fun () ->
+      Moe.part2_program ~config:moe_part2_config spec route
+        ~spec_gpu:Calib.test_machine)
 
 let test_expert_tiles_alignment () =
   let route = Moe.routing moe_spec ~seed:10 in
@@ -815,6 +915,8 @@ let () =
           Alcotest.test_case "consistent" `Quick test_gemm_rs_consistent;
           Alcotest.test_case "rejects non-positive tiles" `Quick
             test_gemm_rs_rejects_non_positive_tiles;
+          Alcotest.test_case "pinned to the hand-written builder" `Quick
+            test_gemm_rs_pinned;
         ] );
       ( "moe",
         [
@@ -825,6 +927,12 @@ let () =
           Alcotest.test_case "consistent" `Quick test_moe_programs_consistent;
           Alcotest.test_case "expert tiles" `Quick
             test_expert_tiles_alignment;
+          Alcotest.test_case "part2 pinned to the hand-written ring stage"
+            `Quick test_moe_part2_pinned;
+          Alcotest.test_case "moe rejects non-positive tiles" `Quick
+            test_moe_rejects_non_positive_tiles;
+          Alcotest.test_case "rejects indivisible intermediate" `Quick
+            test_moe_rejects_indivisible_intermediate;
         ] );
       ( "attention",
         [
